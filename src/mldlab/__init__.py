@@ -2,12 +2,13 @@
 singularities: spectrum scans, floor-constraint region proving, congruence
 lemma verifiers, and hyperquotient weight calculus."""
 
-from .qarith import Rat, consecutive_integers, count_nondivisible, frac
+from .qarith import (Rat, consecutive_integers, count_nondivisible, format_rat,
+                     frac)
 from .quotient import (CyclicQuotient, index_gcd, is_isolated, mld, mld_argmin,
                        toroidal_ld, toroidal_weight)
 from .spectrum import (ScanConfig, SpectrumRecord, accumulation_report,
                        canonical_weights, distinct_values, family_example,
-                       format_rat, scan)
+                       scan)
 
 __all__ = [
     "Rat", "frac", "consecutive_integers", "count_nondivisible",

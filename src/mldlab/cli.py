@@ -20,8 +20,9 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import hyperquot, regions, spectrum, verifiers
+from .qarith import format_rat
 from .quotient import CyclicQuotient, mld, mld_argmin
-from .spectrum import ScanConfig, format_rat
+from .spectrum import ScanConfig
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -427,7 +428,8 @@ def main(argv=None) -> int:
     except regions.BoxLimitExceeded as exc:
         print(f"error: box budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qarith import fracsum_identity_failures
+from .qarith import fracsum_identity_failures, units
 
 SUPPORT_CAP = 10**4
 
@@ -233,10 +233,10 @@ def classify_type(r: int, a, e: int, all_matches: bool = False):
     if r < 2:
         raise ValueError("r must be at least 2")
     target = tuple(x % r for x in a) + (e % r,)
-    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+    unit_params = units(r)
     matches = []
     for tag in TYPE_TAGS:
-        params = (None,) if tag in _PARAMETERLESS else units
+        params = (None,) if tag in _PARAMETERLESS else unit_params
         for x in params:
             pat = _pattern(tag, r, x)
             if pat is None:

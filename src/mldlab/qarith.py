@@ -1,4 +1,5 @@
-"""Exact rational helpers and the elementary counting facts used by the scanners.
+"""Exact rational helpers, residue tables, and the elementary counting facts
+used by the scanners.
 
 Everything here is pure integer / `fractions.Fraction` arithmetic; no floats.
 """
@@ -8,9 +9,51 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 # The single rational type used across the package.  Arbitrary precision,
 # always stored reduced with a positive denominator.
 Rat = Fraction
+
+
+class VerificationError(RuntimeError):
+    """An exact re-check disagreed with the result it guards: a bug, not a
+    counterexample."""
+
+
+def format_rat(q: Fraction) -> str:
+    """Exact wire format: 'p/q', or bare 'p' for integers."""
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def units(r: int) -> list[int]:
+    """The residues in [1, r-1] coprime to r, ascending."""
+    return [u for u in range(1, r) if math.gcd(u, r) == 1]
+
+
+def gcd_table(r: int) -> np.ndarray:
+    """int64 array of gcd(x, r) for x in [0, r); entry 0 is gcd(0, r) = r."""
+    return np.gcd(np.arange(r, dtype=np.int64), r)
+
+
+def window_mask(numer: np.ndarray, r: int, top: int, lo, hi=None,
+                include_lo: bool = True, include_hi: bool = False) -> np.ndarray:
+    """Mask of the entries with numer/r between lo and hi (hi=None: unbounded).
+
+    ``numer`` holds integers in [0, top].  The bounds become exact integer
+    thresholds on numer, clipped to [0, top + 1], so numpy only compares
+    small ints and no product of a huge numerator or denominator can wrap.
+    """
+    x = Fraction(lo) * r
+    first = math.ceil(x) if include_lo else math.floor(x) + 1
+    if hi is None:
+        stop = top + 1
+    else:
+        y = Fraction(hi) * r
+        stop = math.floor(y) + 1 if include_hi else math.ceil(y)
+    first, stop = (min(max(t, 0), top + 1) for t in (first, stop))
+    return (numer >= first) & (numer < stop)
 
 
 def frac(q) -> Fraction:
@@ -28,7 +71,7 @@ def consecutive_integers(a, b, odd_only: bool = False):
     Returns ``(count, witness)`` with the witness list in increasing order.
     The interval always contains at least ceil(b-a)-1 consecutive integers,
     and at least ceil(b-a)/2 - 1 consecutive odd ones; whenever that lower
-    bound is non-negative it is asserted here.
+    bound is non-negative it is checked here.
     """
     a, b = Fraction(a), Fraction(b)
     if a >= b:
@@ -42,8 +85,8 @@ def consecutive_integers(a, b, odd_only: bool = False):
     else:
         bound = Fraction(math.ceil(b - a) - 1)
     count = len(witness)
-    if bound >= 0:
-        assert count >= bound, (a, b, odd_only, count, bound)
+    if bound >= 0 and count < bound:
+        raise VerificationError((a, b, odd_only, count, bound))
     return count, witness
 
 
@@ -51,7 +94,7 @@ def count_nondivisible(start: int, k: int, p: int):
     """Count s in [start, start+k-1] with p not dividing s nor s+1.
 
     Returns ``(size, bound)`` where bound = (k-2)(p-2)/p; the inequality
-    size >= bound is asserted (it is vacuous for k < 2, where the bound is
+    size >= bound is checked (it is vacuous for k < 2, where the bound is
     negative).
     """
     if p < 3:
@@ -60,27 +103,25 @@ def count_nondivisible(start: int, k: int, p: int):
         raise ValueError("k must be at least 1")
     size = sum(1 for s in range(start, start + k) if s % p != 0 and (s + 1) % p != 0)
     bound = Fraction((k - 2) * (p - 2), p)
-    assert size >= bound, (start, k, p, size, bound)
+    if size < bound:
+        raise VerificationError((start, k, p, size, bound))
     return size, bound
 
 
-def fracsum_identity_failures(r: int, weights, e: int) -> list[int]:
-    """All j in [1, r-1] violating sum_i {j*w_i/r} == {j*e/r} + j/r + 1.
-
-    Pure integer check: multiplying through by r, the identity reads
-    sum_i ((j*w_i) mod r) == (j*e mod r) + j + r.
-    """
+def _fracsum_identity_failing(r: int, weights, e: int):
+    # multiplying through by r, the identity reads
+    # sum_i ((j*w_i) mod r) == (j*e mod r) + j + r
     e %= r
     ws = [w % r for w in weights]
-    return [j for j in range(1, r)
-            if sum(j * w % r for w in ws) != (j * e) % r + j + r]
+    return (j for j in range(1, r)
+            if sum(j * w % r for w in ws) != (j * e) % r + j + r)
+
+
+def fracsum_identity_failures(r: int, weights, e: int) -> list[int]:
+    """All j in [1, r-1] violating sum_i {j*w_i/r} == {j*e/r} + j/r + 1."""
+    return list(_fracsum_identity_failing(r, weights, e))
 
 
 def first_fracsum_identity_failure(r: int, weights, e: int):
     """Smallest failing j of the identity above, or None if it holds for all j."""
-    e %= r
-    ws = [w % r for w in weights]
-    for j in range(1, r):
-        if sum(j * w % r for w in ws) != (j * e) % r + j + r:
-            return j
-    return None
+    return next(_fracsum_identity_failing(r, weights, e), None)

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .pool import parallel_map
+from .qarith import format_rat
+
 DEFAULT_BOX_LIMIT = 10**6
 _BOX_LIMIT_ENV = "MLDLAB_BOX_LIMIT"
 
@@ -235,12 +238,8 @@ class SystemResult:
             "constraints": [list(p) for p in self.applied],
             "box_counts": list(self.box_counts),
             "witness": None if self.witness is None else
-                       [_fmt(v) for v in self.witness],
+                       [format_rat(v) for v in self.witness],
         }
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def system_empty(initial: BoxUnion, G: GammaSet, limit: int | None = None) -> SystemResult:
@@ -440,13 +439,7 @@ def verify_cases(ks, case_ids, limit: int | None = None, jobs: int = 1):
     Yields (k, case_id, SystemResult) in deterministic (k, case_id) order.
     """
     tasks = [(k, cid, limit) for k in ks for cid in case_ids]
-    if jobs <= 1:
-        for task in tasks:
-            yield _case_task(task)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_case_task, tasks)
+    yield from parallel_map(_case_task, tasks, jobs)
 
 
 # Breakpoints of the interval grid: 0, 1/5, 1/4, 1/3, 2/5, 1/2, 3/5, 2/3, 3/4, 4/5, 1.
@@ -479,15 +472,11 @@ def _s_grid_task(args):
     a, b, n_max, limit = args
     G = gamma_of_interval(a, b, n_max)
     result = system_empty(unit_cube(ordered_simplex=True), G, limit)
-    return {"interval": [_fmt(a), "inf" if b is None else _fmt(b)],
+    return {"interval": [format_rat(a), "inf" if b is None else format_rat(b)],
             **result.certificate()}
 
 
 def verify_s_grid(n_max: int, limit: int | None = None, jobs: int = 1) -> list[dict]:
     """Run every interval of the grid against the unit cube; report per-interval."""
     tasks = [(a, b, n_max, limit) for a, b in s_grid_intervals()]
-    if jobs <= 1:
-        return [_s_grid_task(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_s_grid_task, tasks))
+    return list(parallel_map(_s_grid_task, tasks, jobs))

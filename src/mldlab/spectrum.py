@@ -19,13 +19,13 @@ import csv
 import io
 import itertools
 import json
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .pool import parallel_map
+from .qarith import VerificationError, format_rat, gcd_table, units, window_mask
 from .quotient import CyclicQuotient, _ld_numerator, mld, mld_argmin_batch
 
 
@@ -77,9 +77,7 @@ def canonical_weights(r: int, weights) -> tuple[int, ...]:
     if r == 1:
         return ws
     best = None
-    for u in range(1, r):
-        if math.gcd(u, r) != 1:
-            continue
+    for u in units(r):
         cand = tuple(sorted(u * w % r for w in ws))
         if best is None or cand < best:
             best = cand
@@ -99,12 +97,9 @@ def family_example(k: int, m: int) -> tuple[CyclicQuotient, Fraction]:
     X = CyclicQuotient(6 * k + m, (2 * k, 3 * k, m))
     expected = Fraction(5 * k + m, 6 * k + m)
     got = mld(X)
-    assert got == expected, (X, got, expected)
+    if got != expected:
+        raise VerificationError((X, got, expected))
     return X, expected
-
-
-def _units(r: int) -> list[int]:
-    return [u for u in range(1, r) if math.gcd(u, r) == 1]
 
 
 def _free_tuples(values: list[int], count: int) -> np.ndarray:
@@ -127,13 +122,11 @@ def _representatives(r: int, dim: int, isolated_only: bool) -> np.ndarray:
         return np.zeros((1, dim), dtype=np.int64)
     blocks = []
     if isolated_only:
-        units = _units(r)
-        free = _free_tuples(units, dim - 1)
+        free = _free_tuples(units(r), dim - 1)
         pinned = np.full((free.shape[0], 1), 1, dtype=np.int64)
         blocks.append(np.hstack([pinned, free]))
     else:
-        gcds = np.gcd(np.arange(r, dtype=np.int64), r)
-        gcds[0] = r  # gcd(0, r) = r
+        gcds = gcd_table(r)
         for g in sorted(d for d in range(1, r + 1) if r % d == 0):
             values = np.nonzero(gcds >= g)[0].tolist()
             free = _free_tuples(values, dim - 1)
@@ -142,36 +135,11 @@ def _representatives(r: int, dim: int, isolated_only: bool) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _value_in_interval(numer: int, r: int, cfg: ScanConfig) -> bool:
-    value = Fraction(int(numer), r)
-    if value < cfg.lo or (value == cfg.lo and not cfg.include_lo):
-        return False
-    if cfg.hi is not None:
-        if value > cfg.hi or (value == cfg.hi and not cfg.include_hi):
-            return False
-    return True
-
-
-def _interval_mask(numer: np.ndarray, r: int, cfg: ScanConfig) -> np.ndarray:
-    # numer/r versus lo: numer*lo.den >= lo.num*r, exact in int64
-    lo = cfg.lo
-    if cfg.include_lo:
-        mask = numer * lo.denominator >= lo.numerator * r
-    else:
-        mask = numer * lo.denominator > lo.numerator * r
-    if cfg.hi is not None:
-        hi = cfg.hi
-        if cfg.include_hi:
-            mask &= numer * hi.denominator <= hi.numerator * r
-        else:
-            mask &= numer * hi.denominator < hi.numerator * r
-    return mask
-
-
 def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
     reps = _representatives(r, cfg.dim, cfg.isolated_only)
     numer, _ = mld_argmin_batch(r, reps)
-    keep = _interval_mask(numer, r, cfg)
+    keep = window_mask(numer, r, cfg.dim * r, cfg.lo, cfg.hi,
+                       cfg.include_lo, cfg.include_hi)
     records: dict[tuple[int, ...], SpectrumRecord] = {}
     for row, num in zip(reps[keep], numer[keep]):
         cw = canonical_weights(r, tuple(int(w) for w in row))
@@ -187,7 +155,8 @@ def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
             if _ld_numerator(r, cw, k) == target:
                 argk = k
                 break
-        assert argk is not None, (r, cw, target)  # unit transforms preserve the minimum
+        if argk is None:  # unit transforms preserve the minimum
+            raise VerificationError((r, cw, target))
         records[cw] = SpectrumRecord(r, cw, value, argk)
     return [records[cw] for cw in sorted(records)]
 
@@ -200,18 +169,12 @@ def scan(cfg: ScanConfig):
     """Iterate SpectrumRecords for r in [1, r_max], mld inside the interval.
 
     Order is deterministic: r ascending, canonical weights lexicographic.
-    With cfg.jobs > 1 the per-r work is spread over a process pool; the
-    merged output is identical to the sequential one.
+    The per-r work goes through `parallel_map` with cfg.jobs; the merged
+    output is identical for every job count.
     """
-    rs = range(1, cfg.r_max + 1)
-    if cfg.jobs <= 1:
-        for r in rs:
-            yield from _scan_r(r, cfg)
-        return
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        chunk = max(1, len(rs) // (cfg.jobs * 8))
-        for recs in pool.map(_scan_r_task, [(r, cfg) for r in rs], chunksize=chunk):
-            yield from recs
+    tasks = [(r, cfg) for r in range(1, cfg.r_max + 1)]
+    for recs in parallel_map(_scan_r_task, tasks, cfg.jobs):
+        yield from recs
 
 
 def distinct_values(cfg: ScanConfig) -> list[Fraction]:
@@ -237,12 +200,6 @@ def accumulation_report(cfg: ScanConfig, target: Fraction, windows) -> list[tupl
                       isolated_only=cfg.isolated_only, jobs=cfg.jobs)
     values = distinct_values(wide)
     return [(w, sum(1 for v in values if v <= target + w)) for w in windows]
-
-
-def format_rat(q: Fraction) -> str:
-    """Exact wire format: 'p/q', or bare 'p' for integers."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def record_to_json(rec: SpectrumRecord) -> str:

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .qarith import first_fracsum_identity_failure
+from .pool import parallel_map
+from .qarith import (VerificationError, first_fracsum_identity_failure, gcd_table,
+                     units, window_mask)
 from .quotient import CyclicQuotient, mld, mld_argmin_batch
 
 
@@ -112,11 +113,9 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     (it pins e = a_1+a_2+a_3+a_4 - r - 1); stage two runs the remaining j
     with a shrinking mask; survivors get exact scalar re-checks.
     """
-    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
-    triples = np.asarray(list(itertools.combinations_with_replacement(units, 3)),
+    triples = np.asarray(list(itertools.combinations_with_replacement(units(r), 3)),
                          dtype=np.int64)
-    gcds = np.gcd(np.arange(r, dtype=np.int64), r)
-    gcds[0] = r
+    gcds = gcd_table(r)
     a4 = np.arange(r, dtype=np.int64)
     s3 = triples.sum(axis=1)
     # j = 1: e is forced, and must be a residue with gcd(e, r) = gcd(a4, r)
@@ -135,7 +134,8 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     out = []
     for a1, a2, a3, a4v, ev in cols.tolist():
         t = TermTuple(r, (a1, a2, a3, a4v), ev)
-        assert terminal_hypothesis(t).ok  # exact scalar re-check of the scan
+        if not terminal_hypothesis(t).ok:  # exact scalar re-check of the scan
+            raise VerificationError(t)
         if not terminal_conclusion(t):
             out.append(t)
     return out
@@ -145,14 +145,8 @@ def terminal_bruteforce(r_max: int, jobs: int = 1) -> list[TermTuple]:
     """Scan all admissible tuples with r <= r_max; expected to return []."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    rs = range(2, r_max + 1)
-    if jobs <= 1:
-        out = []
-        for r in rs:
-            out.extend(_terminal_scan_r(r))
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [t for sub in pool.map(_terminal_scan_r, rs) for t in sub]
+    return [t for sub in parallel_map(_terminal_scan_r, range(2, r_max + 1), jobs)
+            for t in sub]
 
 
 def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
@@ -178,14 +172,8 @@ def fourfold_gap_scan(r_max: int, jobs: int = 1) -> list[tuple[Fraction, ...]]:
     """Exhaustive denominator-r scan of the fourfold gap window; expected []."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    rs = range(2, r_max + 1)
-    if jobs <= 1:
-        out = []
-        for r in rs:
-            out.extend(_fourfold_scan_r(r))
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [v for sub in pool.map(_fourfold_scan_r, rs) for v in sub]
+    return [v for sub in parallel_map(_fourfold_scan_r, range(2, r_max + 1), jobs)
+            for v in sub]
 
 
 @dataclass(frozen=True)
@@ -287,7 +275,8 @@ def transfer_family_instance(k: int, m: int = 1, arrangement: int = 0):
     k0 = 5 * k + m
     u = pow(k0, -1, r)
     b = tuple(u * w % r for w in (2 * k, 3 * k, m))
-    assert all(math.gcd(x, r) == 1 for x in b)
+    if not all(math.gcd(x, r) == 1 for x in b):
+        raise VerificationError((k, m, b))
     order = list(itertools.permutations(range(3)))[arrangement % 6]
     a1, a2, a3 = (b[i] for i in order)
     e = (a1 + a2) % r
@@ -300,7 +289,7 @@ def lift_to_fivefold(t: TermTuple, eps) -> CyclicQuotient:
     """The fivefold quotient 1/r(a_1..a_4, r-e) attached to a case-2 tuple.
 
     Its mld equals 1 + k_1/r for the least k_1 in Gamma with r not dividing
-    e*k_1; the equality is asserted against the exhaustive mld formula.
+    e*k_1; the equality is checked against the exhaustive mld formula.
     """
     rep = transfer_classify(t, eps)
     if rep.case_tag != "case2":
@@ -310,7 +299,8 @@ def lift_to_fivefold(t: TermTuple, eps) -> CyclicQuotient:
     k1 = min(k for k in rep.gamma if t.e * k % r != 0)
     expected = 1 + Fraction(k1, r)
     got = mld(X)
-    assert got == expected, (t, k1, got, expected)
+    if got != expected:
+        raise VerificationError((t, k1, got, expected))
     return X
 
 
@@ -325,15 +315,11 @@ class FivefoldCandidate:
 
 def _fivefold_scan_r(args) -> list[FivefoldCandidate]:
     r, eps, condition = args
-    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
-    if not units:
-        return []
-    u = np.asarray(units, dtype=np.int64)
-    gcds = np.gcd(np.arange(r, dtype=np.int64), r)
-    gcds[0] = r
+    u = np.asarray(units(r), dtype=np.int64)
+    gcds = gcd_table(r)
     lo = Fraction(11, 6) + Fraction(eps)
     out = []
-    for a1v in units:  # slab over a_1 keeps the grids small
+    for a1v in u.tolist():  # slab over a_1 keeps the grids small
         grids = np.meshgrid(u, u, np.arange(r, dtype=np.int64), indexing="ij")
         a2, a3, a4 = (g.ravel() for g in grids)
         a1 = np.full_like(a2, a1v)
@@ -352,11 +338,12 @@ def _fivefold_scan_r(args) -> list[FivefoldCandidate]:
         if not len(W):
             continue
         numer, _ = mld_argmin_batch(r, W)
-        sel = (numer * lo.denominator >= lo.numerator * r) & (numer < 2 * r)
+        sel = window_mask(numer, r, 5 * r, lo, 2)
         for row, num in zip(W[sel], numer[sel]):
             X = CyclicQuotient(r, tuple(int(x) for x in row))
             value = Fraction(int(num), r)
-            assert mld(X) == value  # revalidate the batch result exactly
+            if mld(X) != value:  # revalidate the batch result exactly
+                raise VerificationError((X, value))
             out.append(FivefoldCandidate(X, value))
     return out
 
@@ -373,13 +360,7 @@ def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[Fivefo
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     tasks = [(r, eps, condition) for r in range(2, r_max + 1)]
-    if jobs <= 1:
-        out = []
-        for task in tasks:
-            out.extend(_fivefold_scan_r(task))
-        return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [c for sub in pool.map(_fivefold_scan_r, tasks) for c in sub]
+    return [c for sub in parallel_map(_fivefold_scan_r, tasks, jobs) for c in sub]
 
 
 def thm35_hypotheses(X: CyclicQuotient, mu: int) -> tuple[bool, str]:

@@ -122,6 +122,12 @@ def test_verify_fivefold_cli(capsys):
     payload = json.loads(out)["payload"]
     assert payload["count"] == len(payload["candidates"])
     assert all(c["mld"] == "13/7" for c in payload["candidates"] if c["r"] == 7)
+    # an eps denominator beyond int64 selects the same candidates
+    code, tiny = run_cli(capsys, "verify", "fivefold", "--rmax", "8",
+                         "--eps", "1/100000000000000000000", "--cond", "4a",
+                         "--jobs", "1")
+    assert code == 0
+    assert json.loads(tiny)["payload"]["candidates"] == payload["candidates"]
 
 
 def test_hyperquot_type_cli(capsys):
@@ -152,6 +158,8 @@ def test_hyperquot_psi_cli(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["psi1"] == [] and payload["psi2"] == []
     assert payload["rest_count"] == 8
+    assert main(["hyperquot", "psi", "--datum", str(path), "--eps", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: not an exact rational")
 
 
 def test_jobs_determinism_small(capsys):
@@ -160,9 +168,41 @@ def test_jobs_determinism_small(capsys):
     _, out2 = run_cli(capsys, *args, "--jobs", "2")
     assert out1 == out2
 
-    _, out1 = run_cli(capsys, "verify", "terminal", "--rmax", "10", "--jobs", "1")
-    _, out2 = run_cli(capsys, "verify", "terminal", "--rmax", "10", "--jobs", "2")
-    assert payload_of(out1) == payload_of(out2)
+    for args in (["verify", "terminal", "--rmax", "10"],
+                 ["verify", "fourfold", "--rmax", "14"],
+                 ["verify", "fivefold", "--rmax", "9", "--eps", "1/100", "--cond", "4b"],
+                 ["regions", "cases", "--k", "4", "--case", "1..3"],
+                 ["regions", "s-grid", "--nmax", "20"]):
+        code1, out1 = run_cli(capsys, *args, "--jobs", "1")
+        code2, out2 = run_cli(capsys, *args, "--jobs", "2")
+        assert code1 == code2
+        assert payload_of(out1) == payload_of(out2)
+
+
+def test_scan_huge_denominator_bound(capsys):
+    # no k/r with r <= 13 lies in (5/6, 5/6 + 1/(6*10**18)], so the two
+    # intervals select the same records; int64 products of the bound wrapped
+    args = ["scan", "--rmax", "13", "--open-left", "--jobs", "1", "--interval"]
+    _, tight = run_cli(capsys, *args, "5000000000000000001/6000000000000000000,1")
+    _, loose = run_cli(capsys, *args, "5/6,1")
+    assert tight == loose
+    assert tight.endswith("# records=15 rmax=13 dim=3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--rmax", "5", "--interval", "1/0,1"],
+    ["scan", "--rmax", "5", "--interval", "1"],
+    ["scan", "--rmax", "5", "--mode", "accum", "--target", "x", "--windows", "1/2"],
+    ["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "1/2,y"],
+    ["verify", "fivefold", "--rmax", "5", "--eps", "x", "--cond", "4a"],
+    ["verify", "transfer", "--tuple", "7:5,4,6,2:2", "--eps", "1/0"],
+])
+def test_bad_rational_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_box_limit_exit_code(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from mldlab.qarith import (consecutive_integers, count_nondivisible, frac,
-                           fracsum_identity_failures)
+from mldlab.qarith import (consecutive_integers, count_nondivisible, format_rat, frac,
+                           fracsum_identity_failures, gcd_table, units, window_mask)
 
 
 def test_frac_examples():
@@ -96,3 +97,33 @@ def test_fracsum_identity_scanner():
     # {x} + {-x} = 1 off integers makes (a, r-a, 1, 0; 0) satisfy the identity
     assert fracsum_identity_failures(5, (2, 3, 1, 0), 0) == []
     assert fracsum_identity_failures(5, (1, 1, 1, 1), 0) == [1, 2, 3, 4]
+
+
+def test_window_mask_against_fractions(rng):
+    # thresholds with denominators far beyond int64 against direct Fraction
+    # comparisons of every numerator in [0, top]
+    for _ in range(200):
+        r = rng.randrange(1, 40)
+        top = 3 * r
+        big = 10**rng.randrange(1, 25)
+        lo = Fraction(rng.randrange(-2 * big, 4 * big), big)
+        hi = None if rng.random() < 0.2 else lo + Fraction(rng.randrange(0, 3 * big), big)
+        inc_lo, inc_hi = rng.random() < 0.5, rng.random() < 0.5
+        numer = np.arange(top + 1, dtype=np.int64)
+        got = window_mask(numer, r, top, lo, hi, inc_lo, inc_hi).tolist()
+        want = []
+        for n in range(top + 1):
+            v = Fraction(n, r)
+            ok = v >= lo if inc_lo else v > lo
+            if hi is not None:
+                ok = ok and (v <= hi if inc_hi else v < hi)
+            want.append(ok)
+        assert got == want, (r, lo, hi, inc_lo, inc_hi)
+
+
+def test_residue_helpers():
+    assert units(1) == [] and units(2) == [1]
+    assert units(12) == [1, 5, 7, 11]
+    assert gcd_table(12).tolist() == [12, 1, 2, 3, 4, 1, 6, 1, 4, 3, 2, 1]
+    assert gcd_table(12).dtype == np.int64
+    assert format_rat(Fraction(-6, 4)) == "-3/2" and format_rat(Fraction(4)) == "4"

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from mldlab import verifiers
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
@@ -203,6 +208,35 @@ def test_fivefold_scan_examples():
         assert fivefold_scan(6, Fraction(1, 100), cond) == []
     with pytest.raises(ValueError):
         fivefold_scan(13, Fraction(1, 100), "4d")
+
+
+def test_fivefold_scan_tiny_eps():
+    # no k/r with r <= 13 lies in (11/6, 11/6 + 1/100], so every eps below
+    # 1/100 keeps the same candidates; a 10**18 denominator wrapped in int64
+    assert (fivefold_scan(13, Fraction(1, 10**18), "4a")
+            == fivefold_scan(13, Fraction(1, 100), "4a"))
+
+
+def test_lift_check_survives_optimize():
+    # the mld re-check in lift_to_fivefold must not vanish under python -O
+    script = "\n".join([
+        "from fractions import Fraction",
+        "from mldlab import verifiers",
+        "from mldlab.qarith import VerificationError",
+        "t, eps = verifiers.transfer_family_instance(2)",
+        "verifiers.mld = lambda X: Fraction(0)",
+        "try:",
+        "    verifiers.lift_to_fivefold(t, eps)",
+        "except VerificationError:",
+        "    print('caught')",
+    ])
+    src = str(Path(verifiers.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "caught"
 
 
 def test_fivefold_scan_4b_congruence():
