@@ -188,9 +188,15 @@ def _cmd_regions_system(args) -> int:
     if args.gamma_file:
         with open(args.gamma_file, encoding="utf-8") as fh:
             pairs = json.load(fh)
-    else:
+    elif args.gamma is not None:
         pairs = json.loads(args.gamma)
-    G = regions.GammaSet(tuple((int(n), int(c)) for n, c in pairs))
+    else:
+        raise ValueError("one of --gamma and --gamma-file is required")
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+            for p in pairs)):
+        raise ValueError("gamma must be a JSON list of [n, c] integer pairs")
+    G = regions.GammaSet(tuple(map(tuple, pairs)))
     initial = regions.unit_cube(ordered_simplex=not args.unordered)
     res = regions.system_empty(initial, G, _region_limit(args))
     _emit(args, "regions system", {"pairs": [list(p) for p in G]},
@@ -262,6 +268,10 @@ def _cmd_hq_psi(args) -> int:
     started = time.time()
     with open(args.datum, encoding="utf-8") as fh:
         raw = json.load(fh)
+    missing = [key for key in ("r", "a", "e", "support")
+               if not isinstance(raw, dict) or key not in raw]
+    if missing:
+        raise ValueError(f"datum lacks the key(s) {', '.join(missing)}")
     datum = hyperquot.HyperquotientDatum(
         int(raw["r"]), tuple(int(x) for x in raw["a"]), int(raw["e"]),
         hyperquot.MonomialSupport(frozenset(tuple(v) for v in raw["support"])))
@@ -428,7 +438,7 @@ def main(argv=None) -> int:
     except regions.BoxLimitExceeded as exc:
         print(f"error: box budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError,
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

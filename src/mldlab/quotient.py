@@ -11,10 +11,12 @@ Multiplying through by r turns ld(k) into the integer
 
     r * ld(k) = sum_i ((a_i*k) mod r, with 0 read as r),
 
-so the whole computation runs in exact integer arithmetic.  `mld` and
-`toroidal_ld` are the per-instance reference implementations;
-`mld_argmin_batch` evaluates the same integer formula over numpy arrays for
-the large enumeration scans.
+so the whole computation runs in exact integer arithmetic.  One int64
+kernel, `ld_numerators`, evaluates it for a block of weight rows and a block
+of k; `toroidal_ld`, `mld` and `mld_argmin` call it over chunks of k for a
+single quotient, and `mld_argmin_batch` calls it one k at a time for the
+many rows of an enumeration scan; the transfer and fourfold scans in
+`verifiers` call it too.
 """
 
 from __future__ import annotations
@@ -52,9 +54,29 @@ class CyclicQuotient:
         return f"1/{self.r}({','.join(str(w) for w in self.weights)})"
 
 
-def _ld_numerator(r: int, weights, k: int) -> int:
-    # r times the log discrepancy of the k-th toroidal weight
-    return sum((w * k) % r or r for w in weights)
+_INT64_R_LIMIT = 3_000_000_000  # k*a < r**2 must stay below 2**63
+_K_CHUNK = 1 << 15  # k per kernel call: about 1 MB of int64 at dim 5
+
+
+def ld_numerators(r: int, W, ks) -> np.ndarray:
+    """r * ld(k) for every row of the (N, d) weights ``W`` and every k in
+    ``ks``, as an (N, len(ks)) int64 array, through the identity
+    (x mod r, with 0 read as r) = ((x - 1) mod r) + 1.  Callers pass
+    residues in [0, r), so products stay below r**2; r above 3e9 would wrap
+    int64 and raises OverflowError."""
+    if r > _INT64_R_LIMIT:
+        raise OverflowError(f"r = {r} exceeds the int64-safe limit {_INT64_R_LIMIT}")
+    W = np.asarray(W, dtype=np.int64)
+    P = W[:, None, :] * np.asarray(ks, dtype=np.int64)[None, :, None]
+    P -= 1
+    P %= r
+    return P.sum(axis=2) + W.shape[1]
+
+
+def _k_chunks(r: int):
+    """The indices k in [1, r-1] as consecutive int64 arrays of at most _K_CHUNK."""
+    for start in range(1, r, _K_CHUNK):
+        yield np.arange(start, min(start + _K_CHUNK, r), dtype=np.int64)
 
 
 def toroidal_weight(X: CyclicQuotient, k: int) -> tuple[Fraction, ...]:
@@ -72,7 +94,7 @@ def toroidal_ld(X: CyclicQuotient, k: int) -> Fraction:
     """Log discrepancy sum_i (1 + a_i*k/r - ceil(a_i*k/r)) of the k-th toroidal weight."""
     if not 1 <= k <= X.r - 1:
         raise IndexError(f"k must lie in [1, {X.r - 1}], got {k}")
-    return Fraction(_ld_numerator(X.r, X.weights, k), X.r)
+    return Fraction(int(ld_numerators(X.r, [X.weights], [k])[0, 0]), X.r)
 
 
 def mld(X: CyclicQuotient) -> Fraction:
@@ -83,8 +105,7 @@ def mld(X: CyclicQuotient) -> Fraction:
     """
     if X.r == 1:
         return Fraction(X.dim)
-    best = min(_ld_numerator(X.r, X.weights, k) for k in range(1, X.r))
-    return Fraction(best, X.r)
+    return mld_argmin(X)[1]
 
 
 def mld_argmin(X: CyclicQuotient) -> tuple[int, Fraction]:
@@ -95,11 +116,12 @@ def mld_argmin(X: CyclicQuotient) -> tuple[int, Fraction]:
     """
     if X.r < 2:
         raise ValueError("no toroidal valuation index exists for r = 1")
-    best_k, best = 1, _ld_numerator(X.r, X.weights, 1)
-    for k in range(2, X.r):
-        s = _ld_numerator(X.r, X.weights, k)
-        if s < best:
-            best_k, best = k, s
+    best_k, best = 0, X.dim * X.r + 1  # r * ld(k) <= dim * r for every k
+    for ks in _k_chunks(X.r):
+        s = ld_numerators(X.r, [X.weights], ks)[0]
+        i = int(s.argmin())  # the first minimum of the chunk
+        if s[i] < best:
+            best_k, best = int(ks[i]), int(s[i])
     return best_k, Fraction(best, X.r)
 
 
@@ -113,33 +135,22 @@ def index_gcd(X: CyclicQuotient) -> int:
     return math.gcd(sum(X.weights), X.r)
 
 
-_INT64_R_LIMIT = 3_000_000_000  # k*a < r**2 must stay below 2**63
-
-
 def mld_argmin_batch(r: int, weights_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized mld over many weight tuples sharing one denominator r.
 
     ``weights_matrix`` is an (N, d) integer array of residues mod r.  Returns
     ``(numer, argk)`` int64 arrays: the mld of row i is numer[i]/r, first
-    attained at k = argk[i].  Same integer formula as `mld`, so the results
-    are exact; int64 intermediates are safe for any r below 3e9.
+    attained at k = argk[i].  Each k is one `ld_numerators` call over all
+    rows, so the results are exact.
     """
-    W = np.ascontiguousarray(np.asarray(weights_matrix, dtype=np.int64) % r)
+    W = np.asarray(weights_matrix, dtype=np.int64) % r
     n, d = W.shape
     if r == 1:
         return np.full(n, d, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    if r > _INT64_R_LIMIT:
-        raise OverflowError(f"r = {r} exceeds the int64-safe batch limit")
     best = np.full(n, d * r, dtype=np.int64)  # ld(k) <= d for every k
     argk = np.full(n, 1, dtype=np.int64)
-    buf = np.empty_like(W)
     for k in range(1, r):
-        np.multiply(W, k, out=buf)
-        np.mod(buf, r, out=buf)
-        s = buf.sum(axis=1)
-        zeros = (buf == 0).sum(axis=1)
-        if zeros.any():
-            s += zeros * r
+        s = ld_numerators(r, W, (k,))[:, 0]
         better = s < best
         if better.any():
             best[better] = s[better]

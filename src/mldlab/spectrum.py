@@ -26,7 +26,7 @@ import numpy as np
 
 from .pool import parallel_map
 from .qarith import VerificationError, format_rat, gcd_table, units, window_mask
-from .quotient import CyclicQuotient, _ld_numerator, mld, mld_argmin_batch
+from .quotient import CyclicQuotient, mld, mld_argmin_batch
 
 
 @dataclass(frozen=True)
@@ -140,25 +140,18 @@ def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
     numer, _ = mld_argmin_batch(r, reps)
     keep = window_mask(numer, r, cfg.dim * r, cfg.lo, cfg.hi,
                        cfg.include_lo, cfg.include_hi)
-    records: dict[tuple[int, ...], SpectrumRecord] = {}
-    for row, num in zip(reps[keep], numer[keep]):
-        cw = canonical_weights(r, tuple(int(w) for w in row))
-        if cw in records:
-            continue
-        value = Fraction(int(num), r)
-        if r == 1:
-            records[cw] = SpectrumRecord(r, cw, value, 0)
-            continue
-        target = int(num)
-        argk = None
-        for k in range(1, r):
-            if _ld_numerator(r, cw, k) == target:
-                argk = k
-                break
-        if argk is None:  # unit transforms preserve the minimum
-            raise VerificationError((r, cw, target))
-        records[cw] = SpectrumRecord(r, cw, value, argk)
-    return [records[cw] for cw in sorted(records)]
+    minima: dict[tuple[int, ...], int] = {}
+    for row, num in zip(reps[keep], numer[keep].tolist()):
+        minima.setdefault(canonical_weights(r, tuple(int(w) for w in row)), num)
+    canon = sorted(minima)
+    canon_numer, argk = mld_argmin_batch(
+        r, np.asarray(canon, dtype=np.int64).reshape(len(canon), cfg.dim))
+    records = []
+    for cw, num, k in zip(canon, canon_numer.tolist(), argk.tolist()):
+        if num != minima[cw]:  # unit transforms and permutations preserve the minimum
+            raise VerificationError((r, cw, minima[cw], num))
+        records.append(SpectrumRecord(r, cw, Fraction(num, r), k))
+    return records
 
 
 def _scan_r_task(args):

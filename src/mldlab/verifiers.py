@@ -26,7 +26,7 @@ import numpy as np
 from .pool import parallel_map
 from .qarith import (VerificationError, first_fracsum_identity_failure, gcd_table,
                      units, window_mask)
-from .quotient import CyclicQuotient, mld, mld_argmin_batch
+from .quotient import CyclicQuotient, _k_chunks, ld_numerators, mld, mld_argmin_batch
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,7 @@ def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
     for n in range(2, r):
         if not len(cand):
             return []
-        t = (cand * n) % r
-        sums = t.sum(axis=1) + (t == 0).sum(axis=1) * r
-        keep = sums >= base
+        keep = ld_numerators(r, cand, (n,))[:, 0] >= base
         cand, base = cand[keep], base[keep]
     return [tuple(Fraction(int(b), r) for b in row) for row in cand]
 
@@ -222,18 +220,24 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
     if not (alt1 or alt2 or alt3):
         return report("no pair congruence holds")
 
-    gamma = []
     window_lo = Fraction(5, 6) + eps
-    for k in range(1, r):
-        lhs = sum(k * x % r for x in a)
-        ek = k * e % r
-        if lhs == ek + k:
-            if Fraction(k, r) < window_lo:
-                return report(f"Gamma member k={k} below the index window", k,
-                              gamma)
-            gamma.append(k)
-        elif lhs <= ek + r:
-            return report(f"dichotomy fails at k={k}", k, gamma)
+    gamma = []
+    for ks in _k_chunks(r):
+        lhs = ld_numerators(r, [a], ks)[0]
+        ek = ks * e % r
+        # a_1..a_3 are units and gcd(a_4, r) = gcd(e, r), so only a_4*k can
+        # vanish mod r, exactly when e*k does; r*ld(k) reads that zero as r
+        lhs -= r * (ek == 0)
+        member = lhs == ek + ks
+        bad = np.where(member, ~window_mask(ks, r, r, window_lo), lhs <= ek + r)
+        if bad.any():  # the first bad k ends the scan, as in a loop over k
+            i = int(bad.argmax())
+            k = int(ks[i])
+            gamma += ks[:i][member[:i]].tolist()
+            failure = (f"Gamma member k={k} below the index window" if member[i]
+                       else f"dichotomy fails at k={k}")
+            return report(failure, k, gamma)
+        gamma += ks[member].tolist()
     if not gamma:
         return report("Gamma is empty")
 

@@ -4,20 +4,70 @@ from fractions import Fraction
 import pytest
 
 
+def ld_oracle(r, weights, k):
+    """Reference log discrepancy sum_i (1 + a_i*k/r - ceil(a_i*k/r)) via
+    Fractions and explicit ceilings; independent of the integer-residue
+    implementation in the package."""
+    total = Fraction(0)
+    for a in weights:
+        q = Fraction(a * k, r)
+        total += 1 + q - math.ceil(q)
+    return total
+
+
 def mld_oracle(r, weights):
-    """Reference mld via Fractions and explicit ceilings; independent of the
-    integer-residue implementation in the package."""
+    """Reference mld: the minimum of ld_oracle over k in [1, r-1]."""
     if r == 1:
         return Fraction(len(weights))
-    best = None
+    return min(ld_oracle(r, weights, k) for k in range(1, r))
+
+
+def transfer_oracle(t, eps):
+    """Reference TransferReport of `verifiers.transfer_classify`, scanning k
+    one at a time with Fraction fractional parts and comparing k/r with the
+    window bound as Fractions."""
+    from mldlab.verifiers import TransferReport
+
+    r, a, e = t.r, t.a, t.e
+
+    def violated(failure, k=None, gamma=()):
+        return TransferReport(tuple(gamma), False, failure, k, "violated", None)
+
+    def frac(num):
+        q = Fraction(num, r)
+        return q - math.floor(q)
+
+    for i in range(3):
+        if math.gcd(a[i], r) != 1:
+            return violated(f"gcd(a{i + 1}, r) != 1")
+    if math.gcd(a[3], r) != math.gcd(e, r):
+        return violated("gcd(a4, r) != gcd(e, r)")
+    if (sum(a) - e - 1) % r != 0:
+        return violated("a1+a2+a3+a4 - e != 1 mod r")
+    alt1 = (a[0] + a[1] - e) % r == 0
+    alt2 = (2 * a[3] - e) % r == 0
+    alt3 = (2 * a[0] - e) % r == 0 and math.gcd(e, r) <= 2
+    if not (alt1 or alt2 or alt3):
+        return violated("no pair congruence holds")
+    gamma = []
     for k in range(1, r):
-        total = Fraction(0)
-        for a in weights:
-            q = Fraction(a * k, r)
-            total += 1 + q - math.ceil(q)
-        if best is None or total < best:
-            best = total
-    return best
+        lhs = sum(frac(x * k) for x in a)
+        if lhs == frac(e * k) + Fraction(k, r):
+            if Fraction(k, r) < Fraction(5, 6) + eps:
+                return violated(f"Gamma member k={k} below the index window", k, gamma)
+            gamma.append(k)
+        elif not lhs > frac(e * k) + 1:
+            return violated(f"dichotomy fails at k={k}", k, gamma)
+    if not gamma:
+        return violated("Gamma is empty")
+    p = math.gcd(e, r)
+    case1 = all(frac(e * k) == 0 for k in gamma)
+    conclusions = {"pair_congruence": alt2 and not alt1, "gcd_e_r": p,
+                   "gcd_e_r_at_least_7": p >= 7, "gamma_killed_by_e": case1}
+    if case1:
+        return TransferReport(tuple(gamma), True, None, None, "case1", conclusions,
+                              p, r // p)
+    return TransferReport(tuple(gamma), True, None, None, "case2", conclusions)
 
 
 def floor_sum_holds(point, n, c):

@@ -205,6 +205,39 @@ def test_bad_rational_is_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def _usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mld", "--r", "10000000000", "--w", "1,2,3"],
+    # passes every hypothesis checked before the scan over k
+    ["verify", "transfer", "--tuple", "10000000001:1,1,1,2:4", "--eps", "1/100"],
+])
+def test_r_beyond_int64_is_usage_error(capsys, argv):
+    assert "int64" in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("gamma", [None, "5", "[[2.5,1]]", "[[2,true]]", "[[2,1,3]]",
+                                   '{"2": 1}', '[[2,"1"]]'])
+def test_regions_system_bad_gamma_is_usage_error(capsys, gamma):
+    argv = ["regions", "system"] + ([] if gamma is None else ["--gamma", gamma])
+    _usage_error(capsys, argv)
+
+
+def test_hyperquot_psi_missing_key(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"r": 5, "a": [2, 3, 1, 0]}))
+    err = _usage_error(capsys, ["hyperquot", "psi", "--datum", str(path), "--eps", "1/100"])
+    assert "e, support" in err
+    path.write_text("[5]")
+    _usage_error(capsys, ["hyperquot", "psi", "--datum", str(path), "--eps", "1/100"])
+
+
 def test_box_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("MLDLAB_BOX_LIMIT", "2")
     code, out = run_cli(capsys, "regions", "s-grid", "--nmax", "20", "--jobs", "1")

@@ -4,10 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import mld_oracle
-from mldlab.quotient import (CyclicQuotient, index_gcd, is_isolated, mld,
-                             mld_argmin, mld_argmin_batch, toroidal_ld,
+from conftest import ld_oracle, mld_oracle
+from mldlab import quotient
+from mldlab.quotient import (CyclicQuotient, index_gcd, is_isolated, ld_numerators,
+                             mld, mld_argmin, mld_argmin_batch, toroidal_ld,
                              toroidal_weight)
+
+
+def argmin_oracle(r, weights):
+    """Smallest k attaining mld_oracle, with the value, by a full Fraction scan."""
+    values = [ld_oracle(r, weights, k) for k in range(1, r)]
+    best = min(values)
+    return values.index(best) + 1, best
 
 
 def test_toroidal_ld_examples():
@@ -57,6 +65,60 @@ def test_mld_argmin_examples():
     assert mld_argmin(CyclicQuotient(13, (3, 4, 5))) == (1, Fraction(12, 13))
     with pytest.raises(ValueError):
         mld_argmin(CyclicQuotient(1, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7])
+def test_mld_argmin_small_k_chunks(rng, monkeypatch, chunk):
+    # the chunk size only changes how k is split; the smallest minimizing k
+    # must survive ties inside a chunk and across chunk boundaries
+    monkeypatch.setattr(quotient, "_K_CHUNK", chunk)
+    for _ in range(150):
+        r = rng.randint(2, 40)
+        w = tuple(rng.randrange(r) for _ in range(rng.randint(1, 5)))
+        X = CyclicQuotient(r, w)
+        assert mld_argmin(X) == argmin_oracle(r, w)
+        assert mld(X) == mld_oracle(r, w)
+        k = rng.randint(1, r - 1)
+        assert toroidal_ld(X, k) == ld_oracle(r, w, k)
+
+
+def test_mld_argmin_at_the_k_chunk_size(rng):
+    C = quotient._K_CHUNK
+    r = C + 2  # k = C + 1 is alone in the second chunk
+    u = pow(C + 1, -1, r)
+    cases = [  # (r, weights, the smallest minimizing k when known in advance)
+        (C - 1, tuple(rng.randrange(C - 1) for _ in range(3)), None),  # one chunk
+        (C + 1, (C, C, C), C),  # ld(k) = 3{-k/r}: unique minimum at the last k of chunk one
+        (r, (u, u, u), C + 1),  # unique minimum at the first k of chunk two
+        (r, (1, r - 1), 1),     # ld(k) = 1 for every k: the tie keeps k = 1
+    ]
+    for n, w, k in cases:
+        X = CyclicQuotient(n, w)
+        got = mld_argmin(X)
+        assert got == argmin_oracle(n, w)
+        assert mld(X) == got[1]
+        assert k is None or got[0] == k
+
+
+def test_ld_numerators_against_oracle(rng):
+    for _ in range(40):
+        r = rng.randint(1, 50)
+        d = rng.randint(1, 5)
+        W = [[rng.randrange(r) for _ in range(d)] for _ in range(rng.randint(0, 6))]
+        ks = [rng.randrange(r) for _ in range(rng.randint(0, 8))]
+        got = ld_numerators(r, np.asarray(W, dtype=np.int64).reshape(len(W), d), ks)
+        assert got.shape == (len(W), len(ks)) and got.dtype == np.int64
+        for row, values in zip(W, got.tolist()):
+            assert values == [r * ld_oracle(r, row, k) for k in ks]
+
+
+def test_ld_numerators_int64_limit():
+    X = CyclicQuotient(10**10, (1, 2, 3))
+    for call in (lambda: mld(X), lambda: mld_argmin(X), lambda: toroidal_ld(X, 5),
+                 lambda: ld_numerators(X.r, [X.weights], [1]),
+                 lambda: mld_argmin_batch(X.r, [X.weights])):
+        with pytest.raises(OverflowError):
+            call()
 
 
 def test_is_isolated_and_index_gcd():

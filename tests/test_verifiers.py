@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from mldlab import verifiers
+from conftest import transfer_oracle
+from mldlab import quotient, verifiers
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
@@ -176,6 +178,59 @@ def test_transfer_total_on_random_tuples(rng):
         else:
             assert rep.case_tag == "violated"
             assert rep.failure
+
+
+# every scan at r <= 60 that ends in a dichotomy failure for small eps
+# (exhaustive search over unit a_1..a_3 with a_2 <= a_3 and any e, a_4 fixed
+# by the weight-sum congruence); the branch is rare enough to need a list
+DICHOTOMY_FAILURES = [
+    (26, (15, 21, 23, 24), 4), (31, (18, 24, 28, 29), 5), (31, (18, 24, 29, 28), 5),
+    (31, (18, 28, 29, 24), 5), (31, (24, 28, 29, 18), 5), (31, (28, 24, 29, 18), 5),
+    (31, (29, 24, 28, 18), 5),
+]
+
+
+def _transfer_tuple(rng, mode):
+    """A seeded TermTuple; each mode leans towards some branches of the classifier."""
+    if mode == "dichotomy":
+        r, a, e = rng.choice(DICHOTOMY_FAILURES)
+        return TermTuple(r, a, e)
+    if mode in ("case2", "case1"):
+        k = rng.randint(1, 8)
+        m = 1 if k % 5 == 0 else rng.choice((1, 5))
+        t, _ = transfer_family_instance(k, m, rng.randrange(6))
+        # a_4 = e = 0 keeps Gamma (the same identity on a_1..a_3) and forces case 1
+        return t if mode == "case2" else TermTuple(t.r, t.a[:3] + (0,), 0)
+    r = rng.randint(2, 60)
+    if mode == "random":
+        return TermTuple(r, tuple(rng.randrange(r) for _ in range(4)), rng.randrange(r))
+    units = [u for u in range(1, r) if math.gcd(u, r) == 1]
+    a1, a2, a3 = (rng.choice(units) for _ in range(3))
+    e = (a1 + a2) % r if mode == "alt1" else 2 * a1 % r
+    return TermTuple(r, (a1, a2, a3, (e + 1 - a1 - a2 - a3) % r), e)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_transfer_classify_matches_oracle(rng, monkeypatch, chunk):
+    # whole reports against the Fraction scan in conftest, with the k-chunk
+    # boundaries falling at different places of the scan
+    if chunk is not None:
+        monkeypatch.setattr(quotient, "_K_CHUNK", chunk)
+    modes = ("case2", "case1", "alt1", "alt3", "random", "dichotomy")
+    reached = set()
+    for i in range(360):
+        t = _transfer_tuple(rng, modes[i % len(modes)])
+        eps = Fraction(rng.randint(1, 99), 600)
+        gamma = transfer_oracle(t, Fraction(1, 10**9)).gamma
+        if i % 12 < 2 and gamma:  # the window bound sits on a Gamma member
+            eps = Fraction(rng.choice(gamma), t.r) - Fraction(5, 6)
+        rep = transfer_classify(t, eps)
+        assert rep == transfer_oracle(t, eps), (t, eps)
+        reached.add(rep.case_tag if rep.hypothesis_ok
+                    else re.sub(r"k=\d+", "k", rep.failure))
+    assert reached >= {"case1", "case2", "Gamma is empty",
+                       "Gamma member k below the index window",
+                       "dichotomy fails at k"}
 
 
 def test_lift_to_fivefold_family(rng):
