@@ -52,6 +52,11 @@ def _parse_krange(text: str) -> tuple[int, int]:
     return value, value
 
 
+def _int_list(value) -> bool:
+    """Whether a parsed JSON value is a list of JSON integers (booleans excluded)."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 def _default_jobs() -> int:
     return os.cpu_count() or 1
 
@@ -192,9 +197,7 @@ def _cmd_regions_system(args) -> int:
         pairs = json.loads(args.gamma)
     else:
         raise ValueError("one of --gamma and --gamma-file is required")
-    if not (isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-            for p in pairs)):
+    if not (isinstance(pairs, list) and all(_int_list(p) and len(p) == 2 for p in pairs)):
         raise ValueError("gamma must be a JSON list of [n, c] integer pairs")
     G = regions.GammaSet(tuple(map(tuple, pairs)))
     initial = regions.unit_cube(ordered_simplex=not args.unordered)
@@ -272,8 +275,12 @@ def _cmd_hq_psi(args) -> int:
                if not isinstance(raw, dict) or key not in raw]
     if missing:
         raise ValueError(f"datum lacks the key(s) {', '.join(missing)}")
+    if not (_int_list([raw["r"], raw["e"]]) and _int_list(raw["a"])
+            and isinstance(raw["support"], list) and all(map(_int_list, raw["support"]))):
+        raise ValueError("datum needs JSON integers r and e, an integer list a, "
+                         "and a list of integer lists as support")
     datum = hyperquot.HyperquotientDatum(
-        int(raw["r"]), tuple(int(x) for x in raw["a"]), int(raw["e"]),
+        raw["r"], tuple(raw["a"]), raw["e"],
         hyperquot.MonomialSupport(frozenset(tuple(v) for v in raw["support"])))
     part = hyperquot.psi_classify(datum, _parse_rat(args.eps))
 

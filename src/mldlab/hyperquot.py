@@ -19,6 +19,14 @@ from .qarith import fracsum_identity_failures, units
 SUPPORT_CAP = 10**4
 
 
+def _check_action(r: int, a) -> None:
+    """Reject an action that is not (r; a_1..a_4) with r >= 2."""
+    if r < 2:
+        raise ValueError("r must be at least 2")
+    if len(a) != 4:
+        raise ValueError("exactly four weights required")
+
+
 @dataclass(frozen=True)
 class MonomialSupport:
     """Finite set of nonzero exponent vectors in Z^4_{>=0}."""
@@ -58,10 +66,7 @@ class HyperquotientDatum:
     support: MonomialSupport
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("r must be at least 2")
-        if len(self.a) != 4:
-            raise ValueError("exactly four weights required")
+        _check_action(self.r, self.a)
         object.__setattr__(self, "a", tuple(x % self.r for x in self.a))
         object.__setattr__(self, "e", self.e % self.r)
 
@@ -183,6 +188,7 @@ def psi_classify(d: HyperquotientDatum, eps) -> PsiPartition:
 
 def identity5_check(r: int, a, e: int) -> list[int]:
     """Failing class indices of sum_i {j*a_i/r} = {j*e/r} + j/r + 1; [] means ok."""
+    _check_action(r, a)
     return fracsum_identity_failures(r, a, e)
 
 
@@ -230,8 +236,7 @@ def classify_type(r: int, a, e: int, all_matches: bool = False):
     parameter.  Returns the first (tag, parameter) pair, or ("none", None);
     with all_matches every match is returned.
     """
-    if r < 2:
-        raise ValueError("r must be at least 2")
+    _check_action(r, a)
     target = tuple(x % r for x in a) + (e % r,)
     unit_params = units(r)
     matches = []

@@ -37,14 +37,12 @@ def gcd_table(r: int) -> np.ndarray:
     return np.gcd(np.arange(r, dtype=np.int64), r)
 
 
-def window_mask(numer: np.ndarray, r: int, top: int, lo, hi=None,
-                include_lo: bool = True, include_hi: bool = False) -> np.ndarray:
-    """Mask of the entries with numer/r between lo and hi (hi=None: unbounded).
-
-    ``numer`` holds integers in [0, top].  The bounds become exact integer
-    thresholds on numer, clipped to [0, top + 1], so numpy only compares
-    small ints and no product of a huge numerator or denominator can wrap.
-    """
+def window_bounds(r: int, top: int, lo, hi=None,
+                  include_lo: bool = True, include_hi: bool = False) -> tuple[int, int]:
+    """Integer thresholds (first, stop): first <= n < stop exactly when n/r
+    lies between lo and hi (hi=None: unbounded), for n in [0, top].  They are
+    exact and clipped to [0, top + 1], so numpy compares only small ints and
+    no product of a huge numerator or denominator can wrap."""
     x = Fraction(lo) * r
     first = math.ceil(x) if include_lo else math.floor(x) + 1
     if hi is None:
@@ -52,8 +50,7 @@ def window_mask(numer: np.ndarray, r: int, top: int, lo, hi=None,
     else:
         y = Fraction(hi) * r
         stop = math.floor(y) + 1 if include_hi else math.ceil(y)
-    first, stop = (min(max(t, 0), top + 1) for t in (first, stop))
-    return (numer >= first) & (numer < stop)
+    return tuple(min(max(t, 0), top + 1) for t in (first, stop))
 
 
 def frac(q) -> Fraction:

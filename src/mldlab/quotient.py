@@ -14,9 +14,8 @@ Multiplying through by r turns ld(k) into the integer
 so the whole computation runs in exact integer arithmetic.  One int64
 kernel, `ld_numerators`, evaluates it for a block of weight rows and a block
 of k; `toroidal_ld`, `mld` and `mld_argmin` call it over chunks of k for a
-single quotient, and `mld_argmin_batch` calls it one k at a time for the
-many rows of an enumeration scan; the transfer and fourfold scans in
-`verifiers` call it too.
+single quotient, and `mld_argmin_batch` over the many rows of a scan, dropping
+rows that fall below a floor; the transfer scan in `verifiers` calls it too.
 """
 
 from __future__ import annotations
@@ -135,13 +134,15 @@ def index_gcd(X: CyclicQuotient) -> int:
     return math.gcd(sum(X.weights), X.r)
 
 
-def mld_argmin_batch(r: int, weights_matrix) -> tuple[np.ndarray, np.ndarray]:
+def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized mld over many weight tuples sharing one denominator r.
 
     ``weights_matrix`` is an (N, d) integer array of residues mod r.  Returns
     ``(numer, argk)`` int64 arrays: the mld of row i is numer[i]/r, first
-    attained at k = argk[i].  Each k is one `ld_numerators` call over all
-    rows, so the results are exact.
+    attained at k = argk[i].  A row whose running minimum of r*ld(k) drops
+    below its ``floor`` (a scalar or one integer per row) leaves at once: its
+    numer is then only an upper bound on r*mld, below the floor.  Each step
+    runs the kernel on the rows left and the next _K_CHUNK // (rows left) k.
     """
     W = np.asarray(weights_matrix, dtype=np.int64) % r
     n, d = W.shape
@@ -149,10 +150,14 @@ def mld_argmin_batch(r: int, weights_matrix) -> tuple[np.ndarray, np.ndarray]:
         return np.full(n, d, dtype=np.int64), np.zeros(n, dtype=np.int64)
     best = np.full(n, d * r, dtype=np.int64)  # ld(k) <= d for every k
     argk = np.full(n, 1, dtype=np.int64)
-    for k in range(1, r):
-        s = ld_numerators(r, W, (k,))[:, 0]
-        better = s < best
-        if better.any():
-            best[better] = s[better]
-            argk[better] = k
+    k, live = 1, np.arange(n)
+    while k < r and live.size:
+        ks = np.arange(k, min(k + max(1, _K_CHUNK // live.size), r), dtype=np.int64)
+        s = ld_numerators(r, W[live], ks)
+        i = s.argmin(axis=1)  # the first minimum of each row in the chunk
+        s = s[np.arange(live.size), i]
+        better = s < best[live]  # strict: earlier chunks keep their ties
+        best[live[better]], argk[live[better]] = s[better], ks[i[better]]
+        k += ks.size
+        live = np.flatnonzero(best >= floor)
     return best, argk

@@ -57,9 +57,6 @@ class FloorConstraint:
     def target(self) -> int:
         return self.n - 1 - self.c
 
-    def holds_at(self, point) -> bool:
-        return sum(math.floor(self.n * Fraction(v)) for v in point) == self.target
-
 
 @dataclass(frozen=True)
 class GammaSet:
@@ -73,9 +70,6 @@ class GammaSet:
             if n < 2 or c < 1:
                 raise ValueError(f"invalid constraint pair ({n}, {c})")
         object.__setattr__(self, "pairs", pairs)
-
-    def constraints(self):
-        return [FloorConstraint(n, c) for n, c in self.pairs]
 
     def __len__(self):
         return len(self.pairs)

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .pool import parallel_map
-from .qarith import VerificationError, format_rat, gcd_table, units, window_mask
+from .qarith import VerificationError, format_rat, gcd_table, units, window_bounds
 from .quotient import CyclicQuotient, mld, mld_argmin_batch
 
 
@@ -137,9 +137,10 @@ def _representatives(r: int, dim: int, isolated_only: bool) -> np.ndarray:
 
 def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
     reps = _representatives(r, cfg.dim, cfg.isolated_only)
-    numer, _ = mld_argmin_batch(r, reps)
-    keep = window_mask(numer, r, cfg.dim * r, cfg.lo, cfg.hi,
-                       cfg.include_lo, cfg.include_hi)
+    first, stop = window_bounds(r, cfg.dim * r, cfg.lo, cfg.hi,
+                                cfg.include_lo, cfg.include_hi)
+    numer, _ = mld_argmin_batch(r, reps, first)
+    keep = (numer >= first) & (numer < stop)
     minima: dict[tuple[int, ...], int] = {}
     for row, num in zip(reps[keep], numer[keep].tolist()):
         minima.setdefault(canonical_weights(r, tuple(int(w) for w in row)), num)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .pool import parallel_map
 from .qarith import (VerificationError, first_fracsum_identity_failure, gcd_table,
-                     units, window_mask)
+                     units, window_bounds)
 from .quotient import CyclicQuotient, _k_chunks, ld_numerators, mld, mld_argmin_batch
 
 
@@ -92,6 +92,10 @@ def terminal_conclusion(t: TermTuple) -> bool:
     """
     if not terminal_hypothesis(t).ok:
         raise ValueError("tuple does not satisfy the terminal hypothesis")
+    return _terminal_conclusion(t)
+
+
+def _terminal_conclusion(t: TermTuple) -> bool:
     r = t.r
     if math.gcd(t.e, r) > 1:
         if (t.a[3] - t.e) % r != 0:
@@ -136,7 +140,7 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
         t = TermTuple(r, (a1, a2, a3, a4v), ev)
         if not terminal_hypothesis(t).ok:  # exact scalar re-check of the scan
             raise VerificationError(t)
-        if not terminal_conclusion(t):
+        if not _terminal_conclusion(t):
             out.append(t)
     return out
 
@@ -156,14 +160,11 @@ def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
                         dtype=np.int64)
     s = tuples.sum(axis=1)
     window = (11 * r < 6 * s) & (s < 2 * r)  # alpha_1 in (2 - 1/6, 2)
-    cand = tuples[window]
-    base = s[window]
-    for n in range(2, r):
-        if not len(cand):
-            return []
-        keep = ld_numerators(r, cand, (n,))[:, 0] >= base
-        cand, base = cand[keep], base[keep]
-    return [tuple(Fraction(int(b), r) for b in row) for row in cand]
+    cand, base = tuples[window], s[window]
+    # the entries lie in [1, r-1], so r*ld(1) is the coordinate sum: a row
+    # survives exactly when no twisted sum drops below it
+    numer, _ = mld_argmin_batch(r, cand, base)
+    return [tuple(Fraction(int(b), r) for b in row) for row in cand[numer >= base]]
 
 
 def fourfold_gap_scan(r_max: int, jobs: int = 1) -> list[tuple[Fraction, ...]]:
@@ -220,7 +221,7 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
     if not (alt1 or alt2 or alt3):
         return report("no pair congruence holds")
 
-    window_lo = Fraction(5, 6) + eps
+    first, _ = window_bounds(r, r, Fraction(5, 6) + eps)
     gamma = []
     for ks in _k_chunks(r):
         lhs = ld_numerators(r, [a], ks)[0]
@@ -229,7 +230,7 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
         # vanish mod r, exactly when e*k does; r*ld(k) reads that zero as r
         lhs -= r * (ek == 0)
         member = lhs == ek + ks
-        bad = np.where(member, ~window_mask(ks, r, r, window_lo), lhs <= ek + r)
+        bad = np.where(member, ks < first, lhs <= ek + r)
         if bad.any():  # the first bad k ends the scan, as in a loop over k
             i = int(bad.argmax())
             k = int(ks[i])
@@ -321,7 +322,7 @@ def _fivefold_scan_r(args) -> list[FivefoldCandidate]:
     r, eps, condition = args
     u = np.asarray(units(r), dtype=np.int64)
     gcds = gcd_table(r)
-    lo = Fraction(11, 6) + Fraction(eps)
+    first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + Fraction(eps), 2)
     out = []
     for a1v in u.tolist():  # slab over a_1 keeps the grids small
         grids = np.meshgrid(u, u, np.arange(r, dtype=np.int64), indexing="ij")
@@ -341,8 +342,8 @@ def _fivefold_scan_r(args) -> list[FivefoldCandidate]:
         W = np.column_stack([a1, a2, a3, a4, a5])[keep]
         if not len(W):
             continue
-        numer, _ = mld_argmin_batch(r, W)
-        sel = window_mask(numer, r, 5 * r, lo, 2)
+        numer, _ = mld_argmin_batch(r, W, first)
+        sel = (numer >= first) & (numer < stop)
         for row, num in zip(W[sel], numer[sel]):
             X = CyclicQuotient(r, tuple(int(x) for x in row))
             value = Fraction(int(num), r)

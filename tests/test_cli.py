@@ -238,6 +238,47 @@ def test_hyperquot_psi_missing_key(tmp_path, capsys):
     _usage_error(capsys, ["hyperquot", "psi", "--datum", str(path), "--eps", "1/100"])
 
 
+_DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
+
+
+@pytest.mark.parametrize("argv", [
+    # hyperquot psi on a datum file: the good datum with these keys replaced
+    ["hyperquot", "psi", change] for change in (
+        {"a": 5}, {"support": 5}, {"support": [5]}, {"e": "0"},
+        {"r": 7.9, "a": [2, 5, 1, 0]},  # valid as r = 7, which int() would read
+        {"r": True}, {"a": [2, 3, 1]}, {"support": [[1, 1, 0]]}, {"support": []})
+] + [
+    ["hyperquot", cmd, "--r", r, "--a", a, "--e", "1"] for cmd in ("identity5", "type")
+    for r, a in (("0", "1,2,3,4"), ("1", "1,2,3,4"), ("-3", "1,2,3,4"),
+                 ("7", "1,2"), ("7", "1,2,3,4,5"))
+] + [
+    ["mld", "--r", "0", "--w", "1,2"],
+    ["mld", "--r", "13", "--w", ""],
+    ["scan", "--rmax", "1"],
+    ["scan", "--rmax", "5", "--dim", "0"],
+    ["scan", "--rmax", "5", "--mode", "accum", "--target", "5", "--windows", "1"],
+    ["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "-1"],
+    ["verify", "terminal", "--rmax", "1"],
+    ["verify", "fourfold", "--rmax", "1"],
+    ["verify", "fivefold", "--rmax", "5", "--eps", "1/6", "--cond", "4a"],
+    ["verify", "transfer", "--tuple", "7:5,4:2", "--eps", "1/100"],
+    ["verify", "transfer", "--tuple", "7:5,4,6,2", "--eps", "1/100"],
+    ["verify", "transfer", "--tuple", "x:5,4,6,2:2", "--eps", "1/100"],
+    ["verify", "transfer", "--tuple", "1:5,4,6,2:2", "--eps", "1/100"],
+    ["regions", "s-grid", "--nmax", "1"],
+    ["regions", "cases", "--k", "3"],
+    ["regions", "vl-steps", "--from", "3", "--to", "4"],
+    ["regions", "system", "--gamma", "[[1,1]]"],
+    ["regions", "system", "--gamma", "[[2,1"],
+], ids=json.dumps)
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps({**_DATUM, **argv[-1]}))
+        argv = argv[:-1] + ["--datum", str(path), "--eps", "1/100"]
+    _usage_error(capsys, argv)
+
+
 def test_box_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("MLDLAB_BOX_LIMIT", "2")
     code, out = run_cli(capsys, "regions", "s-grid", "--nmax", "20", "--jobs", "1")

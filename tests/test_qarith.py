@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mldlab.qarith import (consecutive_integers, count_nondivisible, format_rat, frac,
-                           fracsum_identity_failures, gcd_table, units, window_mask)
+                           fracsum_identity_failures, gcd_table, units, window_bounds)
 
 
 def test_frac_examples():
@@ -99,7 +99,7 @@ def test_fracsum_identity_scanner():
     assert fracsum_identity_failures(5, (1, 1, 1, 1), 0) == [1, 2, 3, 4]
 
 
-def test_window_mask_against_fractions(rng):
+def test_window_bounds_against_fractions(rng):
     # thresholds with denominators far beyond int64 against direct Fraction
     # comparisons of every numerator in [0, top]
     for _ in range(200):
@@ -110,7 +110,8 @@ def test_window_mask_against_fractions(rng):
         hi = None if rng.random() < 0.2 else lo + Fraction(rng.randrange(0, 3 * big), big)
         inc_lo, inc_hi = rng.random() < 0.5, rng.random() < 0.5
         numer = np.arange(top + 1, dtype=np.int64)
-        got = window_mask(numer, r, top, lo, hi, inc_lo, inc_hi).tolist()
+        first, stop = window_bounds(r, top, lo, hi, inc_lo, inc_hi)
+        got = ((numer >= first) & (numer < stop)).tolist()
         want = []
         for n in range(top + 1):
             v = Fraction(n, r)

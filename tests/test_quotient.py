@@ -198,6 +198,33 @@ def test_batch_matches_scalar(rng):
             assert mld_argmin(X) == (int(k), Fraction(int(num), r))
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 16])
+def test_mld_argmin_batch_floor(rng, monkeypatch, chunk):
+    # rows never below their floor keep the exact first argmin, however k is
+    # chunked as rows leave; rows below it report an upper bound under it
+    if chunk is not None:
+        monkeypatch.setattr(quotient, "_K_CHUNK", chunk)
+    for _ in range(40):
+        r = rng.randint(2, 60)
+        d = rng.randint(1, 5)
+        rows = [tuple(rng.randrange(r) for _ in range(d))
+                for _ in range(rng.randint(1, 25))]
+        W = np.asarray(rows, dtype=np.int64).reshape(len(rows), d)
+        exact = [argmin_oracle(r, w) for w in rows]
+        want_k = np.asarray([k for k, _ in exact])
+        want = np.asarray([int(v * r) for _, v in exact])
+        numer, argk = mld_argmin_batch(r, W)
+        assert numer.tolist() == want.tolist() and argk.tolist() == want_k.tolist()
+        scalar = int(want[rng.randrange(len(rows))])  # some row sits exactly on it
+        per_row = want + np.asarray([rng.choice((-1, 0, 1)) for _ in rows])
+        for floor in (scalar, per_row):
+            numer, argk = mld_argmin_batch(r, W, floor)
+            kept = want >= floor
+            assert numer[kept].tolist() == want[kept].tolist()
+            assert argk[kept].tolist() == want_k[kept].tolist()
+            assert (numer < floor)[~kept].all() and (numer >= want)[~kept].all()
+
+
 def test_batch_smooth_point():
     numer, argk = mld_argmin_batch(1, np.zeros((4, 3), dtype=int))
     assert list(numer) == [3, 3, 3, 3]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mld_oracle
+from mldlab.qarith import units
 from mldlab.quotient import CyclicQuotient, mld, toroidal_ld
 from mldlab.spectrum import (ScanConfig, accumulation_report, canonical_weights,
                              distinct_values, family_example, format_rat,
@@ -165,3 +167,43 @@ def test_scan_config_validation():
         ScanConfig(dim=3, r_max=1)
     with pytest.raises(ValueError):
         ScanConfig(dim=3, r_max=10, lo=Fraction(1), hi=Fraction(1, 2))
+
+
+# Classification oracles: each expected set comes from a classical result
+# through the scalar canonical_weights, never from the scan under test.
+
+def _classes(cfg):
+    return {(rec.r, rec.weights) for rec in scan(cfg)}
+
+
+def test_scan_matches_terminal_lemma():
+    # an isolated 3-dim class has mld > 1 exactly when it is 1/r(1, -1, a)
+    # with gcd(a, r) = 1 (White; Morrison-Stevens); r = 1 is the smooth point
+    got = _classes(ScanConfig(dim=3, r_max=60, lo=Fraction(1), include_lo=False,
+                              isolated_only=True))
+    want = {(1, (0, 0, 0))} | {(r, canonical_weights(r, (1, r - 1, a)))
+                               for r in range(2, 61) for a in units(r)}
+    assert len(want) == 552 and got == want
+
+
+def test_scan_matches_morrison_canonical_list():
+    # isolated classes with mld exactly 1: the Gorenstein ones (weight sum
+    # 0 mod r) plus the two exceptions 1/9(1,4,7) and 1/14(1,9,11) (Morrison,
+    # 1985); no value 1 + j/r with r <= 60 lies below 62/61
+    got = _classes(ScanConfig(dim=3, r_max=60, lo=Fraction(1), hi=Fraction(62, 61),
+                              isolated_only=True))
+    want = {(r, canonical_weights(r, (1, b, -1 - b))) for r in range(2, 61)
+            for b in units(r) if math.gcd(-1 - b, r) == 1}
+    exceptions = {(9, (1, 4, 7)), (14, (1, 9, 11))}
+    assert all(canonical_weights(r, w) == w and mld_oracle(r, w) == 1
+               for r, w in exceptions)
+    assert len(want | exceptions) == 120 and got == want | exceptions
+
+
+def test_scan_orbit_completeness():
+    # the full-window scan yields exactly one record per orbit of (Z/r)^3
+    # under units and permutations
+    got = _classes(ScanConfig(dim=3, r_max=14, lo=Fraction(0)))
+    want = {(r, canonical_weights(r, w)) for r in range(1, 15)
+            for w in itertools.product(range(r), repeat=3)}
+    assert len(want) == 509 and got == want
