@@ -13,7 +13,8 @@ Multiplying through by r turns ld(k) into the integer
 
 so the whole computation runs in exact integer arithmetic.  One int64
 kernel, `ld_numerators`, evaluates it for a block of weight rows and a block
-of k; `toroidal_ld`, `mld` and `mld_argmin` call it over chunks of k for a
+of k, as one (d, N, K) block over the weight columns summed slab by slab;
+`toroidal_ld`, `mld` and `mld_argmin` call it over chunks of k for a
 single quotient, and `mld_argmin_batch` over the many rows of a scan, dropping
 rows that fall below a floor; the transfer scan in `verifiers` calls it too.
 """
@@ -62,14 +63,22 @@ def ld_numerators(r: int, W, ks) -> np.ndarray:
     ``ks``, as an (N, len(ks)) int64 array, through the identity
     (x mod r, with 0 read as r) = ((x - 1) mod r) + 1.  Callers pass
     residues in [0, r), so products stay below r**2; r above 3e9 would wrap
-    int64 and raises OverflowError."""
+    int64 and raises OverflowError.
+
+    The work runs on the contiguous (d, N) weight columns: one (d, N, K)
+    block of products, reduced by adding its d slabs, never along the short
+    last axis.  A caller holding the columns passes their transpose, which
+    costs no copy."""
     if r > _INT64_R_LIMIT:
         raise OverflowError(f"r = {r} exceeds the int64-safe limit {_INT64_R_LIMIT}")
-    W = np.asarray(W, dtype=np.int64)
-    P = W[:, None, :] * np.asarray(ks, dtype=np.int64)[None, :, None]
+    C = np.asarray(W, dtype=np.int64).T
+    P = C[:, :, None] * np.asarray(ks, dtype=np.int64)
     P -= 1
     P %= r
-    return P.sum(axis=2) + W.shape[1]
+    total = P[0] + C.shape[0]
+    for slab in P[1:]:
+        total += slab
+    return total
 
 
 def _k_chunks(r: int):
@@ -148,12 +157,13 @@ def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.nd
     n, d = W.shape
     if r == 1:
         return np.full(n, d, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    C = np.ascontiguousarray(W.T)
     best = np.full(n, d * r, dtype=np.int64)  # ld(k) <= d for every k
     argk = np.full(n, 1, dtype=np.int64)
     k, live = 1, np.arange(n)
     while k < r and live.size:
         ks = np.arange(k, min(k + max(1, _K_CHUNK // live.size), r), dtype=np.int64)
-        s = ld_numerators(r, W[live], ks)
+        s = ld_numerators(r, C[:, live].T, ks)
         i = s.argmin(axis=1)  # the first minimum of each row in the chunk
         s = s[np.arange(live.size), i]
         better = s < best[live]  # strict: earlier chunks keep their ties

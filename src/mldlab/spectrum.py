@@ -11,6 +11,10 @@ minimizing coordinate by a suitable unit), and whose remaining coordinates
 have gcd at least g.  So representatives are generated per divisor g of r and
 deduplicated afterwards through the canonical form.  Isolated scans (all
 gcds 1) only need the g = 1 slab with unit entries.
+
+The rows whose mld lands in the interval are canonicalized together in numpy
+(`_canonical_rows`); `canonical_weights` is the scalar definition it is
+tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import quotient
 from .pool import parallel_map
 from .qarith import VerificationError, format_rat, gcd_table, units, window_bounds
 from .quotient import CyclicQuotient, mld, mld_argmin_batch
@@ -135,24 +140,46 @@ def _representatives(r: int, dim: int, isolated_only: bool) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def _canonical_rows(r: int, W: np.ndarray) -> np.ndarray:
+    """`canonical_weights` of every row of the (M, d) residues W, as an
+    (M, d) int64 array.
+
+    units(r) is computed once.  Rows go in chunks whose (rows, phi(r), d)
+    block of sorted unit multiples stays within the kernel's step budget of
+    _K_CHUNK * d entries; each row keeps its lexicographically smallest
+    multiple, selected column by column (a base-r key would wrap int64 at
+    r**d >= 2**63)."""
+    us = np.asarray(units(r) or [1], dtype=np.int64)  # Z/1 has the one unit 1
+    out = np.empty_like(W)
+    step = max(1, quotient._K_CHUNK // us.size)
+    for start in range(0, len(W), step):
+        B = W[start:start + step, None, :] * us[:, None] % r
+        B.sort(axis=2)
+        cand = np.ones(B.shape[:2], dtype=bool)
+        for c in range(B.shape[2]):
+            col = np.where(cand, B[:, :, c], r)  # r exceeds every residue
+            cand &= col == col.min(axis=1, keepdims=True)
+        out[start:start + step] = B[np.arange(len(B)), cand.argmax(axis=1)]
+    return out
+
+
 def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
     reps = _representatives(r, cfg.dim, cfg.isolated_only)
     first, stop = window_bounds(r, cfg.dim * r, cfg.lo, cfg.hi,
                                 cfg.include_lo, cfg.include_hi)
     numer, _ = mld_argmin_batch(r, reps, first)
     keep = (numer >= first) & (numer < stop)
-    minima: dict[tuple[int, ...], int] = {}
-    for row, num in zip(reps[keep], numer[keep].tolist()):
-        minima.setdefault(canonical_weights(r, tuple(int(w) for w in row)), num)
-    canon = sorted(minima)
-    canon_numer, argk = mld_argmin_batch(
-        r, np.asarray(canon, dtype=np.int64).reshape(len(canon), cfg.dim))
-    records = []
-    for cw, num, k in zip(canon, canon_numer.tolist(), argk.tolist()):
-        if num != minima[cw]:  # unit transforms and permutations preserve the minimum
-            raise VerificationError((r, cw, minima[cw], num))
-        records.append(SpectrumRecord(r, cw, Fraction(num, r), k))
-    return records
+    # sorted distinct classes; each expects the minimum of its first kept row
+    canon, index = np.unique(_canonical_rows(r, reps[keep]), axis=0, return_index=True)
+    expected = numer[keep][index]
+    canon_numer, argk = mld_argmin_batch(r, canon)
+    bad = np.flatnonzero(canon_numer != expected)
+    if bad.size:  # unit transforms and permutations preserve the minimum
+        i = bad[0]
+        raise VerificationError((r, tuple(canon[i].tolist()), int(expected[i]),
+                                 int(canon_numer[i])))
+    return [SpectrumRecord(r, tuple(cw), Fraction(num, r), k)
+            for cw, num, k in zip(canon.tolist(), canon_numer.tolist(), argk.tolist())]
 
 
 def _scan_r_task(args):

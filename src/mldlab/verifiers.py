@@ -153,14 +153,32 @@ def terminal_bruteforce(r_max: int, jobs: int = 1) -> list[TermTuple]:
             for t in sub]
 
 
+def _fourfold_window_rows(r: int) -> np.ndarray:
+    """The sorted tuples a <= b <= c <= d over [1, r-1] whose sum s lies in
+    the gap window 11r/6 < s < 2r (alpha_1 in (2 - 1/6, 2)), in lexicographic
+    order, as an (N, 4) int64 array.
+
+    Each slab fixes a and joins the pairs (a, b) with the pairs c <= d that
+    have c >= b, so no temporary holds more than r**3 / 2 entries."""
+    x, y = np.triu_indices(r - 1)  # the pairs x <= y over [1, r-1], in lex order
+    x += 1
+    y += 1
+    slabs = [np.zeros((0, 4), dtype=np.int64)]
+    for a in range(1, (r + 1) // 2):  # s >= 4a must stay below 2r
+        b = np.arange(a, r, dtype=np.int64)
+        start = np.searchsorted(x, a)
+        c, d = x[start:], y[start:]
+        s = a + b[:, None] + (c + d)
+        i, j = np.nonzero((b[:, None] <= c) & (11 * r < 6 * s) & (s < 2 * r))
+        slabs.append(np.column_stack([np.full(i.size, a), b[i], c[j], d[j]]))
+    return np.vstack(slabs)
+
+
 def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
     """Tuples v in (0,1)^4 with denominator r, gap-window first coordinate sum,
     and every twisted sum at least the first one.  Expected none survive."""
-    tuples = np.asarray(list(itertools.combinations_with_replacement(range(1, r), 4)),
-                        dtype=np.int64)
-    s = tuples.sum(axis=1)
-    window = (11 * r < 6 * s) & (s < 2 * r)  # alpha_1 in (2 - 1/6, 2)
-    cand, base = tuples[window], s[window]
+    cand = _fourfold_window_rows(r)
+    base = cand.sum(axis=1)
     # the entries lie in [1, r-1], so r*ld(1) is the coordinate sum: a row
     # survives exactly when no twisted sum drops below it
     numer, _ = mld_argmin_batch(r, cand, base)

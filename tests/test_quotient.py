@@ -110,6 +110,17 @@ def test_ld_numerators_against_oracle(rng):
         assert got.shape == (len(W), len(ks)) and got.dtype == np.int64
         for row, values in zip(W, got.tolist()):
             assert values == [r * ld_oracle(r, row, k) for k in ks]
+    # a wide block (many rows, one k) and a long one (one row, every k)
+    r = 499
+    W = [[rng.randrange(r) for _ in range(5)] for _ in range(1200)]
+    k = rng.randrange(1, r)
+    got = ld_numerators(r, np.asarray(W, dtype=np.int64), [k])
+    assert got.shape == (1200, 1)
+    assert got[:, 0].tolist() == [r * ld_oracle(r, row, k) for row in W]
+    row = [rng.randrange(r) for _ in range(3)]
+    got = ld_numerators(r, [row], np.arange(1, r))
+    assert got.shape == (1, r - 1)
+    assert got[0].tolist() == [r * ld_oracle(r, row, k) for k in range(1, r)]
 
 
 def test_ld_numerators_int64_limit():

@@ -3,9 +3,11 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import mld_oracle
+from mldlab import quotient, spectrum
 from mldlab.qarith import units
 from mldlab.quotient import CyclicQuotient, mld, toroidal_ld
 from mldlab.spectrum import (ScanConfig, accumulation_report, canonical_weights,
@@ -49,6 +51,30 @@ def test_canonical_idempotent_and_invariant(rng):
         perm = list(u * a % r for a in w)
         rng.shuffle(perm)
         assert canonical_weights(r, tuple(perm)) == cw
+
+
+def test_canonical_rows_against_scalar_oracle(rng):
+    # zero and non-unit entries included; r = 6_601 at dim 5 is where a
+    # base-r row key r**5 would wrap int64
+    cases = [(r, d, 40) for r in (1, 2, 13, 60, 210) for d in range(1, 6)]
+    cases.append((6_601, 5, 6))
+    for r, d, n in cases:
+        W = np.asarray([[rng.choice((0, r // 2, rng.randrange(r))) for _ in range(d)]
+                        for _ in range(n)], dtype=np.int64)
+        got = spectrum._canonical_rows(r, W)
+        assert got.dtype == np.int64 and got.shape == (n, d)
+        assert [tuple(row) for row in got.tolist()] == [
+            canonical_weights(r, tuple(row)) for row in W.tolist()]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_scan_at_small_chunks(monkeypatch, chunk):
+    # the chunk size splits the k steps and the canonicalized rows only
+    cfgs = [ScanConfig(dim=3, r_max=18, lo=Fraction(0)),
+            ScanConfig(dim=4, r_max=9, lo=Fraction(1), hi=Fraction(3, 2))]
+    want = [list(scan(cfg)) for cfg in cfgs]
+    monkeypatch.setattr(quotient, "_K_CHUNK", chunk)
+    assert [list(scan(cfg)) for cfg in cfgs] == want
 
 
 def test_scan_small_isolated_window():

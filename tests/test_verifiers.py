@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import transfer_oracle
@@ -103,6 +104,17 @@ def test_fourfold_oracle_agreement():
                 survivors.append(b)
         assert survivors == []
     assert fourfold_gap_scan(14) == []
+
+
+def test_fourfold_window_rows_match_combinations():
+    # the slabbed pair join yields exactly the gap-window rows of the full
+    # sorted enumeration, in the same (lexicographic) order
+    for r in range(2, 26):
+        want = [t for t in itertools.combinations_with_replacement(range(1, r), 4)
+                if 11 * r < 6 * sum(t) < 12 * r]
+        got = verifiers._fourfold_window_rows(r)
+        assert got.dtype == np.int64 and got.shape == (len(want), 4)
+        assert [tuple(row) for row in got.tolist()] == want
 
 
 def test_fourfold_known_point_not_candidate():
