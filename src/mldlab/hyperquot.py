@@ -5,6 +5,9 @@ vectors with nonzero coefficient); every quantity computed here depends only
 on the support and on the diagonal cyclic action (r; a_1..a_4) with character
 e.  Weights are rational vectors in the lattice generated by (a_1..a_4)/r and
 the unit vectors; the interesting ones live in the box [0,1]^4.
+
+support_weight and gap_value take arbitrary rationals as Fractions; the
+Psi-partition works on integer numerators over r, with window_bounds thresholds.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .qarith import fracsum_identity_failures, units
+from .qarith import fracsum_identity_failures, units, window_bounds
 
 SUPPORT_CAP = 10**4
 
@@ -106,13 +110,29 @@ def semi_invariant_check(d: HyperquotientDatum):
 def _is_primitive(numers: tuple[int, ...], r: int, alpha_patterns: frozenset) -> bool:
     # w is primitive iff w/l escapes the lattice for every integer l >= 2;
     # w/l lies in [0,1)^4, so membership means matching some class pattern.
-    g = 0
-    for x in numers:
-        g = math.gcd(g, x)
+    g = math.gcd(*numers)
     for l in range(2, g + 1):
         if g % l == 0 and tuple(x // l for x in numers) in alpha_patterns:
             return False
     return True
+
+
+def _box_weights(r: int, a) -> list[tuple[tuple[int, ...], LatticeWeight]]:
+    """(numerators over r, weight) for every weight of enumerate_N0, in its order."""
+    _check_action(r, a)
+    a = tuple(x % r for x in a)
+    alpha_patterns = frozenset(tuple(j * x % r for x in a) for j in range(r))
+    fracs = [Fraction(x, r) for x in range(r + 1)]
+    found: dict[tuple[int, ...], LatticeWeight] = {}
+    for j in range(1, r):
+        base = tuple(j * x % r for x in a)
+        # a zero coordinate may also be lifted to 1, i.e. numerator r
+        for numers in itertools.product(*((0, r) if x == 0 else (x,) for x in base)):
+            if all(x in (0, r) for x in numers) or numers in found:
+                continue  # a corner of {0,1}^4, or emitted by a smaller class
+            found[numers] = LatticeWeight(tuple(fracs[x] for x in numers), j,
+                                          _is_primitive(numers, r, alpha_patterns))
+    return sorted(found.items())
 
 
 def enumerate_N0(r: int, a) -> list[LatticeWeight]:
@@ -122,29 +142,7 @@ def enumerate_N0(r: int, a) -> list[LatticeWeight]:
     zero coordinates may also be lifted to 1.  Duplicates arising from
     different classes are emitted once (smallest class index wins).
     """
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    a = tuple(x % r for x in a)
-    if len(a) != 4:
-        raise ValueError("exactly four weights required")
-    alpha_patterns = frozenset(tuple(j * x % r for x in a) for j in range(r))
-    found: dict[tuple[int, ...], LatticeWeight] = {}
-    for j in range(1, r):
-        base = tuple(j * x % r for x in a)
-        zero_positions = [i for i, x in enumerate(base) if x == 0]
-        for lift in itertools.product((0, r), repeat=len(zero_positions)):
-            numers = list(base)
-            for pos, val in zip(zero_positions, lift):
-                numers[pos] = val
-            numers = tuple(numers)
-            if all(x in (0, r) for x in numers):
-                continue  # a corner of {0,1}^4
-            if numers in found:
-                continue
-            coords = tuple(Fraction(x, r) for x in numers)
-            found[numers] = LatticeWeight(coords, j,
-                                          _is_primitive(numers, r, alpha_patterns))
-    return [found[key] for key in sorted(found)]
+    return [w for _, w in _box_weights(r, a)]
 
 
 def gap_value(w, d: HyperquotientDatum) -> Fraction:
@@ -165,25 +163,27 @@ class PsiPartition:
 
 def psi_classify(d: HyperquotientDatum, eps) -> PsiPartition:
     """Split the box weights by gap: psi1 holds the primitive ones with gap in
-    [5/6 + eps, 1); psi2 their involution images; rest everything else."""
+    [5/6 + eps, 1); psi2 their involution images; rest everything else.
+
+    Exact integer arithmetic on the numerators n over r: the gap of n/r is
+    G/r with G = sum(n) - min over the support of sum_i n_i*alpha_i."""
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 6):
         raise ValueError("eps must lie in (0, 1/6)")
-    n0 = enumerate_N0(d.r, d.a)
-    lo = Fraction(5, 6) + eps
-    psi1 = [w for w in n0 if w.primitive and lo <= gap_value(w, d) < 1]
-    in_psi1 = {w.coords for w in psi1}
-    by_coords = {w.coords: w for w in n0}
-    psi2 = []
-    seen = set()
-    for w in psi1:
-        mate = by_coords.get(w.primed())
-        if mate is not None and mate.coords not in seen and mate.coords not in in_psi1:
-            seen.add(mate.coords)
-            psi2.append(mate)
-    covered = in_psi1 | seen
-    rest = [w for w in n0 if w.coords not in covered]
-    return PsiPartition(tuple(psi1), tuple(psi2), tuple(rest))
+    r = d.r
+    weights = _box_weights(r, d.a)
+    violator = semi_invariant_check(d)
+    if violator is not None and any(w.primitive for _, w in weights):
+        raise ValueError(f"support is not semi-invariant: {violator}")
+    first, stop = window_bounds(r, 4 * r, Fraction(5, 6) + eps, 1, True, False)
+    psi1 = [(n, w) for n, w in weights if w.primitive and first <= sum(n) - min(
+        sum(map(mul, n, alpha)) for alpha in d.support.exponents) < stop]
+    in_psi1 = {n for n, _ in psi1}
+    by_numers = dict(weights)
+    mates = (tuple(r - x for x in n) for n, _ in psi1)
+    psi2 = {m: by_numers[m] for m in mates if m in by_numers and m not in in_psi1}
+    rest = [w for n, w in weights if n not in in_psi1 and n not in psi2]
+    return PsiPartition(tuple(w for _, w in psi1), tuple(psi2.values()), tuple(rest))
 
 
 def identity5_check(r: int, a, e: int) -> list[int]:

@@ -70,6 +70,35 @@ def transfer_oracle(t, eps):
     return TransferReport(tuple(gamma), True, None, None, "case2", conclusions)
 
 
+def gap_oracle(coords, support):
+    """Reference discrepancy gap w(x1 x2 x3 x4) - w(f) of a weight, straight
+    from the definition in Fractions: the coordinate sum minus the least
+    weighted degree sum_i w_i*alpha_i over the support."""
+    coords = [Fraction(c) for c in coords]
+    degrees = [sum((c * x for c, x in zip(coords, alpha)), Fraction(0)) for alpha in support]
+    return sum(coords, Fraction(0)) - min(degrees)
+
+
+def psi_oracle(d, eps):
+    """Reference (psi1, psi2, rest) of `hyperquot.psi_classify`: the box
+    weights of `enumerate_N0`, split by `gap_oracle` and the Fraction window
+    [5/6 + eps, 1), with psi2 the involution images of psi1 in psi1's order."""
+    from mldlab.hyperquot import enumerate_N0
+
+    n0 = enumerate_N0(d.r, d.a)
+    lo = Fraction(5, 6) + Fraction(eps)
+    psi1 = [w for w in n0
+            if w.primitive and lo <= gap_oracle(w.coords, d.support.exponents) < 1]
+    by_coords = {w.coords: w for w in n0}
+    psi2 = []
+    for w in psi1:
+        mate = by_coords.get(tuple(1 - c for c in w.coords))
+        if mate is not None and mate not in psi1 and mate not in psi2:
+            psi2.append(mate)
+    rest = [w for w in n0 if w not in psi1 and w not in psi2]
+    return tuple(psi1), tuple(psi2), tuple(rest)
+
+
 def floor_sum_holds(point, n, c):
     """Direct evaluation of the floor constraint at an exact rational point."""
     return sum(math.floor(n * Fraction(v)) for v in point) == n - 1 - c

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from conftest import gap_oracle, psi_oracle
 from mldlab.cli import main
+from mldlab.hyperquot import HyperquotientDatum, MonomialSupport
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +163,38 @@ def test_hyperquot_psi_cli(tmp_path, capsys):
     assert payload["rest_count"] == 8
     assert main(["hyperquot", "psi", "--datum", str(path), "--eps", "x"]) == 2
     assert capsys.readouterr().err.startswith("error: not an exact rational")
+
+
+def test_hyperquot_psi_cli_type_1a(tmp_path, capsys):
+    # type 1a at r = 30: classes 26..29 have gaps 26/30..29/30 in the window
+    datum = {"r": 30, "a": [7, 23, 1, 0], "e": 0,
+             "support": [[1, 1, 0, 0], [0, 0, 30, 0], [2, 2, 0, 0]]}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    code, out = run_cli(capsys, "hyperquot", "psi", "--datum", str(path),
+                        "--eps", "1/100")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    d = HyperquotientDatum(30, (7, 23, 1, 0), 0, MonomialSupport(
+        frozenset(tuple(v) for v in datum["support"])))
+    psi1, psi2, rest = psi_oracle(d, Fraction(1, 100))
+    assert psi1 and psi2
+    for got, want in ((payload["psi1"], psi1), (payload["psi2"], psi2)):
+        assert got == [{"coords": [str(c) for c in w.coords], "class": w.class_index,
+                        "primitive": w.primitive} for w in want]
+    lo = Fraction(5, 6) + Fraction(1, 100)
+    for w in payload["psi1"]:
+        assert w["primitive"]
+        assert lo <= gap_oracle(map(Fraction, w["coords"]), datum["support"]) < 1
+    assert payload["rest_count"] == len(rest) == 2 * 29 - len(psi1) - len(psi2)
+
+
+def test_hyperquot_psi_cli_non_semi_invariant(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"r": 4, "a": [1, 3, 2, 1], "e": 0,
+                                "support": [[1, 1, 0, 0], [0, 0, 0, 3]]}))
+    err = _usage_error(capsys, ["hyperquot", "psi", "--datum", str(path), "--eps", "1/100"])
+    assert err == "error: support is not semi-invariant: (0, 0, 0, 3)\n"
 
 
 def test_jobs_determinism_small(capsys):

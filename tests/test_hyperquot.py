@@ -1,13 +1,16 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import gap_oracle, psi_oracle
 from mldlab.hyperquot import (HyperquotientDatum,
-                              MonomialSupport, classify_type, enumerate_N0,
-                              gap_value, identity5_check, psi_classify,
-                              semi_invariant_check, support_weight,
-                              two_monomials_verify)
+                              MonomialSupport, PsiPartition, classify_type,
+                              enumerate_N0, gap_value, identity5_check,
+                              psi_classify, semi_invariant_check,
+                              support_weight, two_monomials_verify)
 
 
 def test_support_weight_examples():
@@ -176,6 +179,86 @@ def test_psi_partition_properties(rng):
         for w in part.rest:
             if w.primitive:
                 assert not lo <= gap_value(w, d) < 1
+
+
+def type_1a_data(seed, count=16, lo=60, hi=220):
+    """Seeded type-1a data (r; x, r-x, 1, 0; 0) with r spread over [lo, hi],
+    each with the support {x1 x2, x3^r} plus one of x1^r, x2^r, x1^2 x2^2."""
+    rng = random.Random(seed)
+    data = []
+    for i in range(count):
+        r = rng.randint(lo + (hi - lo) * i // count, lo + (hi - lo) * (i + 1) // count)
+        x = rng.choice([u for u in range(2, r - 1) if math.gcd(u, r) == 1])
+        support = {(1, 1, 0, 0), (0, 0, r, 0),
+                   rng.choice([(r, 0, 0, 0), (0, r, 0, 0), (2, 2, 0, 0)])}
+        data.append(HyperquotientDatum(r, (x, r - x, 1, 0), 0,
+                                       MonomialSupport(frozenset(support))))
+    return data
+
+
+def assert_matches_oracle(d, eps):
+    part = psi_classify(d, eps)
+    assert (part.psi1, part.psi2, part.rest) == psi_oracle(d, eps)
+    return part
+
+
+def test_psi_classify_matches_oracle(rng):
+    # the benchmark's kind of data: non-empty psi1 and psi2 at r in [60, 220]
+    for d in type_1a_data(20261019):
+        part = assert_matches_oracle(d, Fraction(1, 100))
+        assert part.psi1 and part.psi2
+    # random actions, supports cut down to their semi-invariant monomials
+    checked = 0
+    while checked < 150:
+        r = rng.randint(2, 30)
+        a = tuple(rng.randrange(r) for _ in range(4))
+        e = rng.randrange(r)
+        exps = {tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(10)}
+        exps = {x for x in exps
+                if any(x) and (sum(c * w for c, w in zip(x, a)) - e) % r == 0}
+        if not exps:
+            continue
+        d = HyperquotientDatum(r, a, e, MonomialSupport(frozenset(exps)))
+        for eps in (Fraction(1, 100), Fraction(1, 12), Fraction(1, 7)):
+            assert_matches_oracle(d, eps)
+        checked += 1
+
+
+def test_psi_classify_window_ends():
+    # (5/6 + 1/12) * 12 = 11: class 11 has gap exactly 11/12, the left end
+    d = HyperquotientDatum(12, (5, 7, 1, 0), 0,
+                           MonomialSupport.of((1, 1, 0, 0), (0, 0, 12, 0)))
+    part = assert_matches_oracle(d, Fraction(1, 12))
+    edge = [w for w in part.psi1 if gap_oracle(w.coords, d.support.exponents)
+            == Fraction(11, 12)]
+    assert [w.class_index for w in edge] == [11]
+    # a primitive weight with gap exactly 1 stays out of psi1
+    d = HyperquotientDatum(11, (1, 5, 3, 0), 9,
+                           MonomialSupport.of((1, 1, 1, 0), (1, 1, 1, 3)))
+    part = assert_matches_oracle(d, Fraction(1, 100))
+    assert any(w.primitive and gap_oracle(w.coords, d.support.exponents) == 1
+               for w in part.rest)
+
+
+def test_psi_classify_huge_exponent():
+    # x3^(r * 2**70) never attains the support weight, but n_3 times its
+    # exponent is a multiple of 2**64, which int64 arithmetic reads as 0
+    for d in type_1a_data(7, count=3):
+        huge = MonomialSupport(d.support.exponents | {(0, 0, d.r * 2**70, 0)})
+        d = HyperquotientDatum(d.r, d.a, d.e, huge)
+        part = assert_matches_oracle(d, Fraction(1, 100))
+        assert part.psi1
+
+
+def test_psi_classify_rejects_non_semi_invariant_support():
+    bad = HyperquotientDatum(4, (1, 3, 2, 1), 0,
+                             MonomialSupport.of((1, 1, 0, 0), (0, 0, 0, 3)))
+    with pytest.raises(ValueError, match=r"not semi-invariant: \(0, 0, 0, 3\)"):
+        psi_classify(bad, Fraction(1, 100))
+    # with an empty N0 no gap is ever evaluated, so nothing is rejected
+    empty = HyperquotientDatum(3, (0, 0, 0, 0), 1, MonomialSupport.of((1, 0, 0, 0)))
+    assert enumerate_N0(3, (0, 0, 0, 0)) == []
+    assert psi_classify(empty, Fraction(1, 100)) == PsiPartition((), (), ())
 
 
 def test_identity5_examples():
