@@ -45,11 +45,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _parse_krange(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    if ".." not in text:
+        value = int(text)
+        return value, value
+    lo, hi = map(int, text.split("..", 1))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return lo, hi
 
 
 def _int_list(value) -> bool:
@@ -149,8 +151,8 @@ def _cmd_scan(args) -> int:
 
 # ---------------------------------------------------------------- regions
 
-def _region_limit(args):
-    return args.box_limit if args.box_limit else None
+def _region_limit(args) -> int:
+    return regions.box_limit() if args.box_limit is None else args.box_limit
 
 
 def _cmd_regions_sgrid(args) -> int:
@@ -165,6 +167,8 @@ def _cmd_regions_sgrid(args) -> int:
 
 def _cmd_regions_vl(args) -> int:
     started = time.time()
+    if args.start > args.stop:
+        raise ValueError(f"empty level range {args.start}..{args.stop}")
     results = {l: regions.verify_vl_step(l, _region_limit(args))
                for l in range(args.start, args.stop + 1)}
     payload = {"steps": {str(l): ok for l, ok in results.items()},
@@ -353,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = rsub.add_parser("s-grid", help="verify every interval of the grid")
     q.add_argument("--nmax", type=int, default=100)
     q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--box-limit", type=int, default=None)
+    q.add_argument("--box-limit", type=regions.positive_int, default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_regions_sgrid)
 
     q = rsub.add_parser("vl-steps", help="verify the nested-box induction steps")
     q.add_argument("--from", dest="start", type=int, default=4)
     q.add_argument("--to", dest="stop", type=int, default=10)
-    q.add_argument("--box-limit", type=int, default=None)
+    q.add_argument("--box-limit", type=regions.positive_int, default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_regions_vl)
 
@@ -370,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--case", type=_parse_krange, default=None,
                    help="case or case range, e.g. 1..10")
     q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--box-limit", type=int, default=None)
+    q.add_argument("--box-limit", type=regions.positive_int, default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_regions_cases)
 
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--expect-empty", action="store_true")
     q.add_argument("--unordered", action="store_true",
                    help="drop the ordered-simplex restriction")
-    q.add_argument("--box-limit", type=int, default=None)
+    q.add_argument("--box-limit", type=regions.positive_int, default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_regions_system)
 

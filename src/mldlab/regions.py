@@ -2,13 +2,16 @@
 
 A constraint (n, c) selects the points of the half-open unit cube whose
 coordinates satisfy floor(n*v_1) + floor(n*v_2) + floor(n*v_3) = n-1-c.
-Regions are maintained as unions of half-open rational boxes, optionally
-restricted to the ordered simplex v_1 <= v_2 <= v_3.  Refining a box against
-a constraint splits each axis at the multiples of 1/n it contains; on every
-resulting cell the floor sum is constant, so membership is decided exactly.
+Regions are unions of half-open rational boxes, optionally restricted to
+the ordered simplex v_1 <= v_2 <= v_3.  Refining a box against a constraint
+splits each axis at the multiples of 1/n it contains; on every resulting
+cell the floor sum is constant, so membership is decided exactly.
 
-All endpoints are `fractions.Fraction`; there is no floating point anywhere,
-so an "empty" verdict is a proof of emptiness for the given system.
+`Box`, `BoxUnion`, `SystemResult` and witnesses hold `fractions.Fraction`s.
+Refinement runs in Python ints on one scale L per system, the lcm of the
+moduli n and of the initial endpoint denominators: v is held as v*L, so
+floor(n*v) is n*(v*L) // L.  There is no floating point anywhere, so an
+"empty" verdict is a proof of emptiness for the given system.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .pool import parallel_map
-from .qarith import format_rat
+from .qarith import VerificationError, format_rat
 
 DEFAULT_BOX_LIMIT = 10**6
 _BOX_LIMIT_ENV = "MLDLAB_BOX_LIMIT"
@@ -30,13 +33,21 @@ class BoxLimitExceeded(RuntimeError):
     """A refinement produced more boxes than the configured budget allows."""
 
 
+def positive_int(text: str) -> int:
+    """int(text), which must be at least 1: the domain of a box budget."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is below 1")
+    return value
+
+
 def box_limit() -> int:
     raw = os.environ.get(_BOX_LIMIT_ENV)
     if raw:
         try:
-            return int(raw)
+            return positive_int(raw)
         except ValueError as exc:
-            raise ValueError(f"{_BOX_LIMIT_ENV} must be an integer") from exc
+            raise ValueError(f"{_BOX_LIMIT_ENV} must be a positive integer") from exc
     return DEFAULT_BOX_LIMIT
 
 
@@ -78,6 +89,20 @@ class GammaSet:
         return iter(self.pairs)
 
 
+def _greedy_corner(intervals):
+    """Smallest point with v_1 <= v_2 <= v_3 in a product of three half-open
+    intervals (Fractions, or integer numerators over one scale), or None.
+
+    Greedy: v_1 = lo_1, then each later coordinate is the larger of its
+    lower bound and the previous coordinate; feasible iff each stays
+    strictly below its upper bound.
+    """
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = intervals
+    v2 = max(lo1, lo2)
+    v3 = max(v2, lo3)
+    return (lo1, v2, v3) if lo1 < hi1 and v2 < hi2 and v3 < hi3 else None
+
+
 @dataclass(frozen=True)
 class Box:
     """Product of three half-open rational intervals [lo_i, hi_i) inside [0,1]."""
@@ -102,21 +127,8 @@ class Box:
                    for (lo, hi), v in zip(self.intervals, point))
 
     def ordered_corner(self):
-        """Smallest point of the box with v_1 <= v_2 <= v_3, or None.
-
-        Greedy: v_1 = lo_1, then each later coordinate is the larger of its
-        lower bound and the previous coordinate; feasible iff each stays
-        strictly below its upper bound.  Correct for half-open intervals.
-        """
-        point = []
-        prev = None
-        for lo, hi in self.intervals:
-            v = lo if prev is None else max(lo, prev)
-            if not v < hi:
-                return None
-            point.append(v)
-            prev = v
-        return tuple(point)
+        """Smallest point of the box with v_1 <= v_2 <= v_3, or None."""
+        return _greedy_corner(self.intervals)
 
 
 @dataclass(frozen=True)
@@ -165,14 +177,52 @@ def unit_cube(ordered_simplex: bool = True) -> BoxUnion:
     return BoxUnion((Box(((zero, one), (zero, one), (zero, one))),), ordered_simplex)
 
 
-def _axis_cells(lo: Fraction, hi: Fraction, n: int):
-    """Split [lo, hi) at the multiples of 1/n it contains.
+def _on_scale(U: BoxUnion, moduli):
+    """(L, boxes): the boxes of U as integer numerators over L, the lcm of
+    the moduli and of every endpoint denominator of U."""
+    scale = math.lcm(*moduli, *{v.denominator for box in U.boxes
+                                for iv in box.intervals for v in iv})
+    return scale, [tuple((int(lo * scale), int(hi * scale)) for lo, hi in box.intervals)
+                   for box in U.boxes]
 
-    Yields (lo', hi', m) cells with floor(n*v) = m constant on each.
+
+def _union(scale: int, boxes, ordered_simplex: bool) -> BoxUnion:
+    """The integer boxes over `scale` as a BoxUnion of Fraction boxes."""
+    return BoxUnion(tuple(Box(tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in box))
+                          for box in boxes), ordered_simplex)
+
+
+def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
+            limit: int | None) -> list:
+    """The refinement step on integer boxes over `scale` (a multiple of fc.n).
+
+    With s = scale/n, the cell m of an axis is [m*s, (m+1)*s), on which
+    floor(n*v) = m.  Each axis-1 cell visits only the axis-2 cells whose
+    complementary axis-3 cell meets the box, and on the ordered simplex a
+    cell also needs a greedy corner.  The output keeps the order (box, m1,
+    m2); BoxLimitExceeded is raised once it exceeds the box budget.
     """
-    cuts = [Fraction(j, n) for j in range(math.floor(lo * n) + 1, math.ceil(hi * n))]
-    points = [lo] + cuts + [hi]
-    return [(a, b, math.floor(a * n)) for a, b in zip(points, points[1:])]
+    if limit is None:
+        limit = box_limit()
+    s, target = scale // fc.n, fc.target
+    out = []
+    for (l1, h1), (l2, h2), (l3, h3) in boxes:
+        lo2, hi2 = l2 // s, (h2 - 1) // s
+        lo3, hi3 = l3 // s, (h3 - 1) // s
+        for m1 in range(l1 // s, (h1 - 1) // s + 1):
+            cell1 = (max(l1, m1 * s), min(h1, m1 * s + s))
+            for m2 in range(max(lo2, target - m1 - hi3), min(hi2, target - m1 - lo3) + 1):
+                m3 = target - m1 - m2
+                cell = (cell1, (max(l2, m2 * s), min(h2, m2 * s + s)),
+                        (max(l3, m3 * s), min(h3, m3 * s + s)))
+                if ordered_simplex and _greedy_corner(cell) is None:
+                    continue
+                out.append(cell)
+                if len(out) > limit:
+                    raise BoxLimitExceeded(
+                        f"more than {limit} boxes while refining against "
+                        f"(n={fc.n}, c={fc.c})")
+    return out
 
 
 def constraint_refine(U: BoxUnion, fc: FloorConstraint, limit: int | None = None) -> BoxUnion:
@@ -182,29 +232,9 @@ def constraint_refine(U: BoxUnion, fc: FloorConstraint, limit: int | None = None
     sub-boxes with floor sum equal to the target survive.  Raises
     BoxLimitExceeded when the output would exceed the box budget.
     """
-    if limit is None:
-        limit = box_limit()
-    out: list[Box] = []
-    for box in U.boxes:
-        (l1, h1), (l2, h2), (l3, h3) = box.intervals
-        cells1 = _axis_cells(l1, h1, fc.n)
-        cells2 = _axis_cells(l2, h2, fc.n)
-        cells3 = {m: (a, b) for a, b, m in _axis_cells(l3, h3, fc.n)}
-        for a1, b1, m1 in cells1:
-            for a2, b2, m2 in cells2:
-                rest = fc.target - m1 - m2
-                cell3 = cells3.get(rest)
-                if cell3 is None:
-                    continue
-                candidate = Box(((a1, b1), (a2, b2), cell3))
-                if U.ordered_simplex and candidate.ordered_corner() is None:
-                    continue
-                out.append(candidate)
-                if len(out) > limit:
-                    raise BoxLimitExceeded(
-                        f"more than {limit} boxes while refining against "
-                        f"(n={fc.n}, c={fc.c})")
-    return BoxUnion(tuple(out), U.ordered_simplex)
+    scale, boxes = _on_scale(U, (fc.n,))
+    return _union(scale, _refine(boxes, scale, fc, U.ordered_simplex, limit),
+                  U.ordered_simplex)
 
 
 @dataclass(frozen=True)
@@ -240,20 +270,27 @@ def system_empty(initial: BoxUnion, G: GammaSet, limit: int | None = None) -> Sy
     """Apply the constraints of G in ascending (n, c) order and report.
 
     Small-n constraints prune hardest, so ascending order keeps intermediate
-    box counts low.  The verdict itself does not depend on the order.
+    box counts low.  The verdict itself does not depend on the order.  A
+    witness is re-checked exactly against the initial region and every
+    applied constraint; a mismatch raises VerificationError.
     """
-    region = initial
+    scale, boxes = _on_scale(initial, [n for n, _ in G])
     applied: list[tuple[int, int]] = []
     counts: list[int] = []
     for n, c in G:
-        region = constraint_refine(region, FloorConstraint(n, c), limit)
+        boxes = _refine(boxes, scale, FloorConstraint(n, c), initial.ordered_simplex, limit)
         applied.append((n, c))
-        counts.append(len(region.boxes))
-        if region.is_empty:
+        counts.append(len(boxes))
+        if not boxes:
             return SystemResult("empty", tuple(applied), tuple(counts), None,
                                 len(initial.boxes))
+    witness = _union(scale, boxes[:1], initial.ordered_simplex).witness()
+    if boxes and not (witness is not None and initial.contains(witness) and all(
+            sum(math.floor(n * v) for v in witness) == n - 1 - c
+            for n, c in applied)):
+        raise VerificationError(("witness", witness, tuple(applied)))
     return SystemResult("witness", tuple(applied), tuple(counts),
-                        region.witness(), len(initial.boxes))
+                        witness, len(initial.boxes))
 
 
 def gamma_of_interval(a, b, n_max: int) -> GammaSet:
@@ -294,48 +331,25 @@ def vl_box(l: int) -> BoxUnion:
     return BoxUnion((box,), ordered_simplex=True)
 
 
-def _grid_cells(U: BoxUnion, grids) -> set:
-    """Cells of the per-axis breakpoint grids covered by U (exact cover).
-
-    Every box endpoint of U must appear in the grids, so each box is exactly
-    a union of grid cells.
-    """
-    cells = set()
-    for box in U.boxes:
-        spans = []
-        for (lo, hi), grid in zip(box.intervals, grids):
-            i, j = grid.index(lo), grid.index(hi)
-            spans.append(range(i, j))
-        cells.update(product(*spans))
-    return cells
-
-
-def _cell_feasible(cell, grids) -> bool:
-    box = Box(tuple((grid[i], grid[i + 1]) for i, grid in zip(cell, grids)))
-    return box.ordered_corner() is not None
-
-
 def boxunion_equal(A: BoxUnion, B: BoxUnion) -> bool:
     """Set equality of the two regions, via their common breakpoint grid.
 
-    Both unions are refined to the merged per-axis grids; the regions agree
-    exactly when no cell of the symmetric difference meets the (shared)
-    ordered-simplex restriction.
+    Both unions go on one integer scale and are cut at the merged per-axis
+    endpoints, so each box is exactly a union of grid cells; the regions
+    agree exactly when no cell of the symmetric difference meets the
+    (shared) ordered-simplex restriction.
     """
     if A.ordered_simplex != B.ordered_simplex:
         raise ValueError("cannot compare unions with different simplex flags")
-    grids = []
-    for axis in range(3):
-        pts = set()
-        for U in (A, B):
-            for box in U.boxes:
-                lo, hi = box.intervals[axis]
-                pts.update((lo, hi))
-        grids.append(sorted(pts) or [Fraction(0)])
-    diff = _grid_cells(A, grids) ^ _grid_cells(B, grids)
-    if not A.ordered_simplex:
-        return not diff
-    return all(not _cell_feasible(cell, grids) for cell in diff)
+    _, boxes = _on_scale(BoxUnion(A.boxes + B.boxes), ())
+    grids = [sorted({x for box in boxes for x in box[axis]}) for axis in range(3)]
+    cells = (set(), set())
+    for i, box in enumerate(boxes):
+        cells[i >= len(A.boxes)].update(product(*(
+            range(grid.index(lo), grid.index(hi)) for (lo, hi), grid in zip(box, grids))))
+    return not any(not A.ordered_simplex
+                   or _greedy_corner([(g[i], g[i + 1]) for i, g in zip(cell, grids)])
+                   for cell in cells[0] ^ cells[1])
 
 
 def verify_vl_step(l: int, limit: int | None = None) -> bool:
@@ -356,8 +370,8 @@ def shared_case_constraints(k: int) -> GammaSet:
     ))
 
 
-def case_initial_region(k: int, limit: int | None = None) -> BoxUnion:
-    """The four-box union for level k, refined by the ten shared constraints."""
+def case_boxes(k: int) -> BoxUnion:
+    """The four-box union for level k, before the ten shared constraints."""
     if k < 4:
         raise ValueError("k must be at least 4")
     third, half = Fraction(1, 3), Fraction(1, 2)
@@ -375,10 +389,16 @@ def case_initial_region(k: int, limit: int | None = None) -> BoxUnion:
              (third - Fraction(1, 18 * k + 12), third - Fraction(2, 54 * k + 15)),
              (half - Fraction(1, 12 * k + 10), half - Fraction(3, 48 * k + 10)))),
     )
-    region = BoxUnion(boxes, ordered_simplex=True)
-    for n, c in shared_case_constraints(k):
-        region = constraint_refine(region, FloorConstraint(n, c), limit)
-    return region
+    return BoxUnion(boxes, ordered_simplex=True)
+
+
+def case_initial_region(k: int, limit: int | None = None) -> BoxUnion:
+    """The four-box union for level k, refined by the ten shared constraints."""
+    G = shared_case_constraints(k)
+    scale, boxes = _on_scale(case_boxes(k), [n for n, _ in G])
+    for n, c in G:
+        boxes = _refine(boxes, scale, FloorConstraint(n, c), True, limit)
+    return _union(scale, boxes, True)
 
 
 def case_constraints(k: int, case_id: int) -> GammaSet:
@@ -416,24 +436,27 @@ def case_constraints(k: int, case_id: int) -> GammaSet:
 
 def verify_case(k: int, case_id: int, limit: int | None = None) -> SystemResult:
     """Run one interval case at level k; an 'empty' verdict is the expected one."""
-    if k < 4:
-        raise ValueError("k must be at least 4")
     initial = case_initial_region(k, limit)
     return system_empty(initial, case_constraints(k, case_id), limit)
 
 
-def _case_task(args):
-    k, case_id, limit = args
-    return (k, case_id, verify_case(k, case_id, limit))
+def _case_level_task(args):
+    k, case_ids, limit = args
+    initial = case_initial_region(k, limit)
+    return [(k, cid, system_empty(initial, case_constraints(k, cid), limit))
+            for cid in case_ids]
 
 
 def verify_cases(ks, case_ids, limit: int | None = None, jobs: int = 1):
     """Run a block of case verifications, optionally across a process pool.
 
-    Yields (k, case_id, SystemResult) in deterministic (k, case_id) order.
+    Each level's initial region is refined once and shared by its cases; the
+    pool tasks are the levels.  Yields (k, case_id, SystemResult) in
+    deterministic (k, case_id) order.
     """
-    tasks = [(k, cid, limit) for k in ks for cid in case_ids]
-    yield from parallel_map(_case_task, tasks, jobs)
+    tasks = [(k, tuple(case_ids), limit) for k in ks]
+    for results in parallel_map(_case_level_task, tasks, jobs):
+        yield from results
 
 
 # Breakpoints of the interval grid: 0, 1/5, 1/4, 1/3, 2/5, 1/2, 3/5, 2/3, 3/4, 4/5, 1.

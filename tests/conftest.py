@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 
@@ -102,6 +103,75 @@ def psi_oracle(d, eps):
 def floor_sum_holds(point, n, c):
     """Direct evaluation of the floor constraint at an exact rational point."""
     return sum(math.floor(n * Fraction(v)) for v in point) == n - 1 - c
+
+
+def _cell_starts(lo, hi, moduli):
+    """Left ends of the cells of [lo, hi) cut at every j/n (n in moduli):
+    floor(n*v) is constant on each cell for every n."""
+    starts = {lo}
+    for n in moduli:
+        starts.update(Fraction(j, n) for j in range(math.floor(lo * n) + 1, math.ceil(hi * n)))
+    return sorted(starts)
+
+
+def _rats(values):
+    """Exact rationals as an int64 (numerators, denominators) pair."""
+    return (np.array([Fraction(v).numerator for v in values], dtype=np.int64),
+            np.array([Fraction(v).denominator for v in values], dtype=np.int64))
+
+
+def _rat_pick(a, b, take_a):
+    return np.where(take_a, a[0], b[0]), np.where(take_a, a[1], b[1])
+
+
+def region_empty_oracle(boxes, pairs, ordered_simplex):
+    """Reference emptiness test for a floor-constraint system, independent of
+    the refinement in `regions`.
+
+    The region is {v in the union of the half-open boxes [lo_i, hi_i) :
+    sum_i floor(n*v_i) = n-1-c for each (n, c) in pairs}, cut down to
+    v_1 <= v_2 <= v_3 when ordered_simplex is set.  Per box, v_1 sweeps the
+    cell starts of the breakpoints j/n along axis 1, then v_2 along axis 2
+    (from v_1 on, when ordered): the floors are constant on a cell, and its
+    least point is the best choice for the ordering.  Axis 3 then needs
+    floor(n*v_3) = n-1-c - floor(n*v_1) - floor(n*v_2) for every pair, so
+    v_3 lies in the intersection of [t/n, (t+1)/n), [lo_3, hi_3) and, when
+    ordered, [v_2, 1), decided by integer cross-multiplication.  The v_1
+    cells go in blocks of 64, each against every axis-2 cell at once.  The
+    cross products multiply two numerators or denominators, each at most a
+    small multiple of the largest n or box denominator, so int64 holds them
+    for any system this suite runs.
+    """
+    chunk = 64
+    moduli = sorted({n for n, _ in pairs})
+    for (l1, h1), (l2, h2), (l3, h3) in boxes:
+        starts1 = _cell_starts(l1, h1, moduli)
+        q = _cell_starts(l2, h2, moduli)
+        qn, qd = _rats(q)
+        en, ed = _rats(q[1:] + [h2])
+        for block in range(0, len(starts1), chunk):
+            v1n, v1d = (np.repeat(x, len(q)) for x in _rats(starts1[block:block + chunk]))
+            reps = len(v1n) // len(q)
+            v2, ends = (np.tile(qn, reps), np.tile(qd, reps)), (np.tile(en, reps), np.tile(ed, reps))
+            lower = np.full_like(v1n, l3.numerator), np.full_like(v1n, l3.denominator)
+            upper = np.full_like(v1n, h3.numerator), np.full_like(v1n, h3.denominator)
+            alive = np.ones(len(v1n), dtype=bool)
+            if ordered_simplex:
+                v2 = _rat_pick(v2, (v1n, v1d), v2[0] * v1d >= v1n * v2[1])
+                alive = v2[0] * ends[1] < ends[0] * v2[1]
+                lower = _rat_pick(v2, lower, v2[0] * lower[1] >= lower[0] * v2[1])
+            for n, c in pairs:
+                keep = np.flatnonzero(alive)
+                v1n, v1d = v1n[keep], v1d[keep]
+                v2, lower, upper = ((a[keep], b[keep]) for a, b in (v2, lower, upper))
+                t = n - 1 - c - (n * v1n) // v1d - (n * v2[0]) // v2[1]
+                lower = _rat_pick((t, np.full_like(t, n)), lower, t * lower[1] > lower[0] * n)
+                upper = _rat_pick((t + 1, np.full_like(t, n)), upper,
+                                  (t + 1) * upper[1] < upper[0] * n)
+                alive = lower[0] * upper[1] < upper[0] * lower[1]
+            if alive.any():
+                return False
+    return True
 
 
 @pytest.fixture

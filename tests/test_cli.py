@@ -241,10 +241,16 @@ def test_bad_rational_is_usage_error(capsys, argv):
 
 
 def _usage_error(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+        prefix = "error: "
+    except SystemExit as exc:  # an argparse type rejected the value
+        code, prefix = exc.code, "usage: mldlab "
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(prefix) and "Traceback" not in err
+    if prefix.startswith("usage"):
+        assert ": error: argument " in err.splitlines()[-1]
     return err
 
 
@@ -305,8 +311,27 @@ _DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
     ["regions", "vl-steps", "--from", "3", "--to", "4"],
     ["regions", "system", "--gamma", "[[1,1]]"],
     ["regions", "system", "--gamma", "[[2,1"],
+    # empty ranges would report vacuous verdicts
+    ["regions", "cases", "--k", "5..4"],
+    ["regions", "cases", "--k", "4", "--case", "3..2"],
+    ["regions", "vl-steps", "--from", "4", "--to", "3"],
+] + [
+    # a box budget below 1, from the flag or from the environment
+    ["regions", cmd, *extra, "--box-limit", limit]
+    for cmd, extra in (("s-grid", ["--nmax", "20"]), ("cases", ["--k", "4"]),
+                       ("vl-steps", []), ("system", ["--gamma", "[[2,1]]"]))
+    for limit in ("0", "-5")
+] + [
+    [{"MLDLAB_BOX_LIMIT": limit}, "regions", "s-grid", "--nmax", "20", "--jobs", jobs]
+    for limit in ("0", "-5") for jobs in ("1", "2")
+] + [
+    [{"MLDLAB_BOX_LIMIT": "0"}, "regions", "system", "--gamma", "[]"],
 ], ids=json.dumps)
-def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    if isinstance(argv[0], dict):
+        for name, value in argv[0].items():
+            monkeypatch.setenv(name, value)
+        argv = argv[1:]
     if isinstance(argv[-1], dict):
         path = tmp_path / "datum.json"
         path.write_text(json.dumps({**_DATUM, **argv[-1]}))

@@ -32,7 +32,7 @@ def test_worker_cap(monkeypatch):
     cfg = spectrum.ScanConfig(r_max=8, lo=Fraction(5, 6), hi=Fraction(1), jobs=huge)
     assert list(spectrum.scan(cfg)) == list(spectrum.scan(
         spectrum.ScanConfig(r_max=8, lo=Fraction(5, 6), hi=Fraction(1), jobs=1)))
-    assert len(list(regions.verify_cases([4], [1, 2], jobs=huge))) == 2
+    assert len(list(regions.verify_cases([4, 5], [1, 2], jobs=huge))) == 4  # 2 level tasks
     assert seen == [5, 3, 4, 3, 2]
 
     # one core, or a single task, runs in-process without a pool

@@ -1,15 +1,18 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import floor_sum_holds
+from conftest import floor_sum_holds, region_empty_oracle
 from mldlab import regions
+from mldlab.qarith import VerificationError
 from mldlab.regions import (Box, BoxLimitExceeded, BoxUnion, FloorConstraint,
-                            GammaSet, boxunion_equal, case_initial_region,
-                            constraint_refine, gamma_of_interval, system_empty,
-                            unit_cube, verify_case, verify_s_grid,
-                            verify_vl_step, vl_box)
+                            GammaSet, boxunion_equal, case_boxes,
+                            case_initial_region, constraint_refine,
+                            gamma_of_interval, system_empty, unit_cube,
+                            verify_case, verify_s_grid, verify_vl_step, vl_box)
 
 
 def test_gamma_of_interval_unbounded():
@@ -164,6 +167,19 @@ def test_boxunion_equal_detects_difference():
     assert boxunion_equal(a, a)
 
 
+def test_boxunion_equal_across_decompositions():
+    half = Fraction(1, 2)
+    cube = unit_cube(False).boxes
+    split = (Box(((0, half), (0, 1), (0, 1))), Box(((half, 1), (0, 1), (0, 1))))
+    assert boxunion_equal(BoxUnion(cube, False), BoxUnion(split, False))
+    # the two differ only where v_1 >= 1/2 > v_2, off the ordered simplex
+    part = (Box(((0, half), (0, 1), (0, 1))), Box(((half, 1), (half, 1), (half, 1))))
+    assert not boxunion_equal(BoxUnion(cube, False), BoxUnion(part, False))
+    assert boxunion_equal(BoxUnion(cube, True), BoxUnion(part, True))
+    with pytest.raises(ValueError):
+        boxunion_equal(BoxUnion(cube, True), BoxUnion(cube, False))
+
+
 def test_case_initial_regions_nonempty():
     for k in range(4, 9):
         region = case_initial_region(k)
@@ -252,3 +268,105 @@ def test_ordered_corner_greedy():
                       (Fraction(0), Fraction(1, 4)),
                       (Fraction(0), Fraction(1))))
     assert infeasible.ordered_corner() is None
+
+
+def _assert_oracle_agrees(boxes, prefix, res, ordered_simplex=True):
+    """The certificate's verdict, and the region being inhabited just before
+    its last constraint, agree with the independent oracle."""
+    intervals = [box.intervals for box in boxes]
+    assert region_empty_oracle(intervals, prefix, ordered_simplex) == res.is_empty
+    if res.is_empty:
+        before = len(res.box_counts) < 2 or res.box_counts[-2] > 0
+        assert (not region_empty_oracle(intervals, prefix[:-1], ordered_simplex)) == before
+
+
+def test_region_oracle_agrees_on_cases():
+    # from the raw four boxes through the ten shared constraints, so the
+    # oracle does not start from a region the prover made
+    for k, cid, res in regions.verify_cases(range(4, 9), range(1, 11)):
+        prefix = list(regions.shared_case_constraints(k)) + list(res.applied)
+        _assert_oracle_agrees(case_boxes(k).boxes, prefix, res)
+
+
+def test_region_oracle_agrees_on_s_grid_small_cap():
+    verdicts = []
+    for a, b in regions.s_grid_intervals():
+        res = system_empty(unit_cube(True), gamma_of_interval(a, b, 40))
+        _assert_oracle_agrees(unit_cube(True).boxes, list(res.applied), res)
+        verdicts.append(res.verdict)
+    assert "empty" in verdicts and "witness" in verdicts
+
+
+def test_region_oracle_agrees_on_random_systems(rng):
+    verdicts = []
+    for _ in range(120):
+        ordered = rng.random() < 0.5
+        G = GammaSet(tuple((rng.randint(2, 16), rng.randint(1, 5))
+                           for _ in range(rng.randint(1, 5))))
+        lo = [Fraction(rng.randint(0, 6), 12) for _ in range(3)]
+        box = Box(tuple((x, x + Fraction(rng.randint(1, 6), 12)) for x in lo))
+        for initial in (unit_cube(ordered), BoxUnion((box,), ordered)):
+            if initial.is_empty:
+                continue
+            res = system_empty(initial, G)
+            _assert_oracle_agrees(initial.boxes, list(res.applied), res, ordered)
+            verdicts.append(res.verdict)
+    assert verdicts.count("empty") > 20 and verdicts.count("witness") > 20
+
+
+@pytest.mark.parametrize("initial, pairs, corrupt, keeps_floor_sums", [
+    # breaks the floor sum: 0 != 3 - 1 - 1
+    (unit_cube(True), ((3, 1),), lambda v: (Fraction(0),) * 3, False),
+    # keeps the floor sum but leaves the ordered simplex
+    (unit_cube(True), ((3, 1),), lambda v: tuple(reversed(v)), True),
+    # keeps the floor sum and the ordering but drops below the box's
+    # axis-3 interval [11/23, 1/2)
+    (vl_box(4), ((28, 5),), lambda v: (v[0], v[1], Fraction(13, 28)), True),
+])
+def test_corrupted_witness_is_caught(monkeypatch, initial, pairs, corrupt, keeps_floor_sums):
+    honest = system_empty(initial, GammaSet(pairs))
+    assert honest.verdict == "witness"
+    bad = corrupt(honest.witness)
+    assert all(floor_sum_holds(bad, n, c) for n, c in pairs) == keeps_floor_sums
+    monkeypatch.setattr(BoxUnion, "witness", lambda self: bad)
+    with pytest.raises(VerificationError):
+        system_empty(initial, GammaSet(pairs))
+
+
+def test_system_box_budget_is_exact():
+    counts = system_empty(unit_cube(False), GammaSet(((30, 5),))).box_counts
+    system_empty(unit_cube(False), GammaSet(((30, 5),)), limit=counts[0])
+    with pytest.raises(BoxLimitExceeded):
+        system_empty(unit_cube(False), GammaSet(((30, 5),)), limit=counts[0] - 1)
+
+
+def test_verify_cases_refines_each_level_once(monkeypatch):
+    built = []
+    original = regions.case_initial_region
+
+    def counting(k, limit=None):
+        built.append(k)
+        return original(k, limit)
+
+    monkeypatch.setattr(regions, "case_initial_region", counting)
+    results = list(regions.verify_cases(range(4, 7), range(1, 11)))
+    assert [(k, cid) for k, cid, _ in results] == [(k, cid) for k in range(4, 7)
+                                                   for cid in range(1, 11)]
+    assert built == [4, 5, 6]
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_certificates_pinned():
+    # sha256 of the certificate JSON (verdicts, initial_boxes, constraints,
+    # box_counts, witnesses), recorded with the Fraction refinement
+    assert _digest(verify_s_grid(100)) == (
+        "2414699eec5e28d50edb6f5b569659acfc5aa862bac287fce425e510820c1d25")
+    assert _digest(verify_s_grid(120)) == (
+        "b47932403730be2d78f9010c0fbf2ccd38a4943536347a346511e08efb399a05")
+    cases = [[k, cid, res.certificate()]
+             for k, cid, res in regions.verify_cases(range(4, 9), range(1, 11))]
+    assert _digest(cases) == (
+        "593b19d22951a9bcbe76e224398b48fb403864c25462cff68db1a8571a6a9c22")
