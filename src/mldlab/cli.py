@@ -2,11 +2,13 @@
 lemma verifiers, and hyperquotient classification.
 
 Output conventions: rationals travel as exact "p/q" strings, never decimals.
-Structured results are JSON documents {"manifest": ..., "payload": ...};
-payloads are byte-deterministic for identical parameters (timestamps and
-wall-time live in the manifest only).  Exit codes: 0 success, 1 an
-expected-empty suite produced a witness or counterexample, 2 usage error,
-3 resource-guard abort.
+`mld`, `scan`, `hyperquot identity5` and `hyperquot type` print plain text
+and return an exit code.  Every other command returns (parameters, payload,
+exit code), and `main` is the one place that times it and writes the JSON
+document {"manifest": ..., "payload": ...} to stdout or to `--out`.  Payloads
+are byte-deterministic for identical parameters (timestamps and wall time
+live in the manifest only).  Exit codes: 0 success, 1 an expected-empty suite
+produced a witness or counterexample, 2 usage error, 3 resource-guard abort.
 """
 
 from __future__ import annotations
@@ -45,13 +47,20 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _parse_krange(text: str) -> tuple[int, int]:
-    if ".." not in text:
-        value = int(text)
-        return value, value
-    lo, hi = map(int, text.split("..", 1))
+    try:
+        lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"malformed range: {text!r}") from exc
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     return lo, hi
+
+
+def _parse_budget(text: str) -> int:
+    try:
+        return regions.positive_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _int_list(value) -> bool:
@@ -63,10 +72,10 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _emit(args, command: str, parameters: dict, payload, started: float) -> None:
+def _emit(args, parameters: dict, payload, started: float) -> None:
     doc = {
         "manifest": {
-            "command": command,
+            "command": f"{args.command} {args.subcommand}",
             "parameters": parameters,
             "started": datetime.fromtimestamp(started, timezone.utc).isoformat(),
             "wall_time_s": round(time.time() - started, 3),
@@ -74,9 +83,8 @@ def _emit(args, command: str, parameters: dict, payload, started: float) -> None
         "payload": payload,
     }
     text = json.dumps(doc, indent=2)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -91,8 +99,7 @@ def _cmd_mld(args) -> int:
         print(format_rat(mld(X)))
         return 0
     if not args.w:
-        print("error: weights are required for r >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("weights are required for r >= 2")
     X = CyclicQuotient(args.r, args.w)
     k, value = mld_argmin(X)
     print(f"{format_rat(value)} (k={k})")
@@ -138,9 +145,7 @@ def _cmd_scan(args) -> int:
         return 0
     # accumulation mode
     if not args.target or not args.windows:
-        print("error: --target and --windows are required with --mode accum",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--target and --windows are required with --mode accum")
     windows = [_parse_rat(w) for w in args.windows.split(",")]
     table = spectrum.accumulation_report(cfg, _parse_rat(args.target), windows)
     for w, count in table:
@@ -155,31 +160,25 @@ def _region_limit(args) -> int:
     return regions.box_limit() if args.box_limit is None else args.box_limit
 
 
-def _cmd_regions_sgrid(args) -> int:
-    started = time.time()
+def _cmd_regions_sgrid(args) -> tuple[dict, dict, int]:
     report = regions.verify_s_grid(args.nmax, _region_limit(args), jobs=args.jobs)
     empties = sum(1 for entry in report if entry["verdict"] == "empty")
     payload = {"nmax": args.nmax, "intervals": report,
                "empty": empties, "total": len(report)}
-    _emit(args, "regions s-grid", {"nmax": args.nmax}, payload, started)
-    return 0 if empties == len(report) else 1
+    return {"nmax": args.nmax}, payload, 0 if empties == len(report) else 1
 
 
-def _cmd_regions_vl(args) -> int:
-    started = time.time()
+def _cmd_regions_vl(args) -> tuple[dict, dict, int]:
     if args.start > args.stop:
         raise ValueError(f"empty level range {args.start}..{args.stop}")
     results = {l: regions.verify_vl_step(l, _region_limit(args))
                for l in range(args.start, args.stop + 1)}
     payload = {"steps": {str(l): ok for l, ok in results.items()},
                "all_equal": all(results.values())}
-    _emit(args, "regions vl-steps",
-          {"from": args.start, "to": args.stop}, payload, started)
-    return 0 if all(results.values()) else 1
+    return {"from": args.start, "to": args.stop}, payload, 0 if payload["all_equal"] else 1
 
 
-def _cmd_regions_cases(args) -> int:
-    started = time.time()
+def _cmd_regions_cases(args) -> tuple[dict, dict, int]:
     klo, khi = args.k
     cases = range(args.case[0], args.case[1] + 1) if args.case else range(1, 11)
     payload = {"verdicts": [], "witnesses": 0}
@@ -188,12 +187,10 @@ def _cmd_regions_cases(args) -> int:
         payload["verdicts"].append({"k": k, "case": cid, **res.certificate()})
         if not res.is_empty:
             payload["witnesses"] += 1
-    _emit(args, "regions cases", {"k": list(args.k)}, payload, started)
-    return 0 if payload["witnesses"] == 0 else 1
+    return {"k": list(args.k)}, payload, 0 if payload["witnesses"] == 0 else 1
 
 
-def _cmd_regions_system(args) -> int:
-    started = time.time()
+def _cmd_regions_system(args) -> tuple[dict, dict, int]:
     if args.gamma_file:
         with open(args.gamma_file, encoding="utf-8") as fh:
             pairs = json.load(fh)
@@ -206,42 +203,33 @@ def _cmd_regions_system(args) -> int:
     G = regions.GammaSet(tuple(map(tuple, pairs)))
     initial = regions.unit_cube(ordered_simplex=not args.unordered)
     res = regions.system_empty(initial, G, _region_limit(args))
-    _emit(args, "regions system", {"pairs": [list(p) for p in G]},
-          res.certificate(), started)
-    if args.expect_empty and not res.is_empty:
-        return 1
-    return 0
+    return ({"pairs": [list(p) for p in G]}, res.certificate(),
+            1 if args.expect_empty and not res.is_empty else 0)
 
 
 # ---------------------------------------------------------------- verify
 
-def _cmd_verify_terminal(args) -> int:
-    started = time.time()
+def _cmd_verify_terminal(args) -> tuple[dict, dict, int]:
     bad = verifiers.terminal_bruteforce(args.rmax, jobs=args.jobs)
     payload = {"rmax": args.rmax, "counterexamples":
                [{"r": t.r, "a": list(t.a), "e": t.e} for t in bad],
                "count": len(bad)}
-    _emit(args, "verify terminal", {"rmax": args.rmax}, payload, started)
-    return 0 if not bad else 1
+    return {"rmax": args.rmax}, payload, 0 if not bad else 1
 
 
-def _cmd_verify_fourfold(args) -> int:
-    started = time.time()
+def _cmd_verify_fourfold(args) -> tuple[dict, dict, int]:
     bad = verifiers.fourfold_gap_scan(args.rmax, jobs=args.jobs)
     payload = {"rmax": args.rmax,
                "counterexamples": [[format_rat(v) for v in tup] for tup in bad],
                "count": len(bad)}
-    _emit(args, "verify fourfold", {"rmax": args.rmax}, payload, started)
-    return 0 if not bad else 1
+    return {"rmax": args.rmax}, payload, 0 if not bad else 1
 
 
-def _cmd_verify_transfer(args) -> int:
-    started = time.time()
+def _cmd_verify_transfer(args) -> tuple[dict, dict, int]:
     try:
         r_text, a_text, e_text = args.tuple.split(":")
     except ValueError:
-        print("error: --tuple must look like r:a1,a2,a3,a4:e", file=sys.stderr)
-        return 2
+        raise ValueError("--tuple must look like r:a1,a2,a3,a4:e") from None
     t = verifiers.TermTuple(int(r_text), _parse_weights(a_text), int(e_text))
     rep = verifiers.transfer_classify(t, _parse_rat(args.eps))
     payload = {
@@ -251,28 +239,22 @@ def _cmd_verify_transfer(args) -> int:
         "gamma": list(rep.gamma), "conclusions": rep.conclusions,
         "p": rep.p, "q": rep.q,
     }
-    _emit(args, "verify transfer", {"tuple": args.tuple, "eps": args.eps},
-          payload, started)
-    return 0
+    return {"tuple": args.tuple, "eps": args.eps}, payload, 0
 
 
-def _cmd_verify_fivefold(args) -> int:
-    started = time.time()
+def _cmd_verify_fivefold(args) -> tuple[dict, dict, int]:
     cands = verifiers.fivefold_scan(args.rmax, _parse_rat(args.eps), args.cond,
                                     jobs=args.jobs)
     payload = {"rmax": args.rmax, "eps": args.eps, "condition": args.cond,
                "candidates": [{"r": c.X.r, "weights": list(c.X.weights),
                                "mld": format_rat(c.mld)} for c in cands],
                "count": len(cands)}
-    _emit(args, "verify fivefold", {"rmax": args.rmax, "eps": args.eps,
-                                    "cond": args.cond}, payload, started)
-    return 0
+    return {"rmax": args.rmax, "eps": args.eps, "cond": args.cond}, payload, 0
 
 
 # ---------------------------------------------------------------- hyperquot
 
-def _cmd_hq_psi(args) -> int:
-    started = time.time()
+def _cmd_hq_psi(args) -> tuple[dict, dict, int]:
     with open(args.datum, encoding="utf-8") as fh:
         raw = json.load(fh)
     missing = [key for key in ("r", "a", "e", "support")
@@ -295,9 +277,7 @@ def _cmd_hq_psi(args) -> int:
     payload = {"r": datum.r, "a": list(datum.a), "e": datum.e, "eps": args.eps,
                "psi1": dump(part.psi1), "psi2": dump(part.psi2),
                "rest_count": len(part.rest)}
-    _emit(args, "hyperquot psi", {"datum": args.datum, "eps": args.eps},
-          payload, started)
-    return 0
+    return {"datum": args.datum, "eps": args.eps}, payload, 0
 
 
 def _cmd_hq_identity5(args) -> int:
@@ -321,6 +301,16 @@ def _cmd_hq_type(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+def _structured(q, func, *, jobs: bool = False, box_limit: bool = False) -> None:
+    """Add the trailing flags of a structured command and bind its function."""
+    if jobs:
+        q.add_argument("--jobs", type=int, default=_default_jobs())
+    if box_limit:
+        q.add_argument("--box-limit", type=_parse_budget, default=None)
+    q.add_argument("--out", default=None)
+    q.set_defaults(func=func)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -356,27 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = rsub.add_parser("s-grid", help="verify every interval of the grid")
     q.add_argument("--nmax", type=int, default=100)
-    q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--box-limit", type=regions.positive_int, default=None)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_regions_sgrid)
+    _structured(q, _cmd_regions_sgrid, jobs=True, box_limit=True)
 
     q = rsub.add_parser("vl-steps", help="verify the nested-box induction steps")
     q.add_argument("--from", dest="start", type=int, default=4)
     q.add_argument("--to", dest="stop", type=int, default=10)
-    q.add_argument("--box-limit", type=regions.positive_int, default=None)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_regions_vl)
+    _structured(q, _cmd_regions_vl, box_limit=True)
 
     q = rsub.add_parser("cases", help="verify the ten interval cases per level")
     q.add_argument("--k", type=_parse_krange, required=True,
                    help="level or level range, e.g. 4..8")
     q.add_argument("--case", type=_parse_krange, default=None,
                    help="case or case range, e.g. 1..10")
-    q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--box-limit", type=regions.positive_int, default=None)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_regions_cases)
+    _structured(q, _cmd_regions_cases, jobs=True, box_limit=True)
 
     q = rsub.add_parser("system", help="run an explicit constraint system")
     q.add_argument("--gamma", default=None, help="JSON list of [n,c] pairs")
@@ -384,38 +366,29 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--expect-empty", action="store_true")
     q.add_argument("--unordered", action="store_true",
                    help="drop the ordered-simplex restriction")
-    q.add_argument("--box-limit", type=regions.positive_int, default=None)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_regions_system)
+    _structured(q, _cmd_regions_system, box_limit=True)
 
     p = sub.add_parser("verify", help="lemma verifiers")
     vsub = p.add_subparsers(dest="subcommand", required=True)
 
     q = vsub.add_parser("terminal", help="brute-force the terminal classification")
     q.add_argument("--rmax", type=int, default=30)
-    q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_verify_terminal)
+    _structured(q, _cmd_verify_terminal, jobs=True)
 
     q = vsub.add_parser("fourfold", help="brute-force the fourfold gap window")
     q.add_argument("--rmax", type=int, default=40)
-    q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_verify_fourfold)
+    _structured(q, _cmd_verify_fourfold, jobs=True)
 
     q = vsub.add_parser("transfer", help="classify one transfer tuple")
     q.add_argument("--tuple", required=True, help="r:a1,a2,a3,a4:e")
     q.add_argument("--eps", required=True, help="exact rational in (0, 1/6)")
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_verify_transfer)
+    _structured(q, _cmd_verify_transfer)
 
     q = vsub.add_parser("fivefold", help="scan fivefold candidates")
     q.add_argument("--rmax", type=int, default=13)
     q.add_argument("--eps", required=True)
     q.add_argument("--cond", choices=("4a", "4b", "4c"), required=True)
-    q.add_argument("--jobs", type=int, default=_default_jobs())
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_verify_fivefold)
+    _structured(q, _cmd_verify_fivefold, jobs=True)
 
     p = sub.add_parser("hyperquot", help="hyperquotient weight calculus")
     hsub = p.add_subparsers(dest="subcommand", required=True)
@@ -423,29 +396,30 @@ def build_parser() -> argparse.ArgumentParser:
     q = hsub.add_parser("psi", help="gap partition of the box weights")
     q.add_argument("--datum", required=True, help="JSON file with r, a, e, support")
     q.add_argument("--eps", required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_hq_psi)
+    _structured(q, _cmd_hq_psi)
 
-    q = hsub.add_parser("identity5", help="check the five-term congruence identity")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--a", type=_parse_weights, required=True)
-    q.add_argument("--e", type=int, required=True)
-    q.set_defaults(func=_cmd_hq_identity5)
-
-    q = hsub.add_parser("type", help="match against the classification patterns")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--a", type=_parse_weights, required=True)
-    q.add_argument("--e", type=int, required=True)
-    q.set_defaults(func=_cmd_hq_type)
+    for name, help_text, func in (
+            ("identity5", "check the five-term congruence identity", _cmd_hq_identity5),
+            ("type", "match against the classification patterns", _cmd_hq_type)):
+        q = hsub.add_parser(name, help=help_text)
+        q.add_argument("--r", type=int, required=True)
+        q.add_argument("--a", type=_parse_weights, required=True)
+        q.add_argument("--e", type=int, required=True)
+        q.set_defaults(func=func)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # a plain-text command has printed already
+            return result
+        parameters, payload, code = result
+        _emit(args, parameters, payload, started)
+        return code
     except regions.BoxLimitExceeded as exc:
         print(f"error: box budget exhausted: {exc}", file=sys.stderr)
         return 3

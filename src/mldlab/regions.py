@@ -35,9 +35,12 @@ class BoxLimitExceeded(RuntimeError):
 
 def positive_int(text: str) -> int:
     """int(text), which must be at least 1: the domain of a box budget."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"box budget is not an integer: {text!r}") from None
     if value < 1:
-        raise ValueError(f"{text!r} is below 1")
+        raise ValueError(f"box budget is below 1: {text!r}")
     return value
 
 
@@ -282,10 +285,12 @@ def system_empty(initial: BoxUnion, G: GammaSet, limit: int | None = None) -> Sy
         applied.append((n, c))
         counts.append(len(boxes))
         if not boxes:
-            return SystemResult("empty", tuple(applied), tuple(counts), None,
-                                len(initial.boxes))
+            break
+    if not boxes:
+        return SystemResult("empty", tuple(applied), tuple(counts), None,
+                            len(initial.boxes))
     witness = _union(scale, boxes[:1], initial.ordered_simplex).witness()
-    if boxes and not (witness is not None and initial.contains(witness) and all(
+    if not (witness is not None and initial.contains(witness) and all(
             sum(math.floor(n * v) for v in witness) == n - 1 - c
             for n, c in applied)):
         raise VerificationError(("witness", witness, tuple(applied)))

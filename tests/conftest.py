@@ -1,8 +1,20 @@
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+
+def package_env():
+    """The environment with the package sources first on PYTHONPATH, for
+    tests that run the package in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def ld_oracle(r, weights, k):

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import gap_oracle, psi_oracle
+from conftest import gap_oracle, package_env, psi_oracle
+from mldlab import cli, regions
 from mldlab.cli import main
 from mldlab.hyperquot import HyperquotientDatum, MonomialSupport
 
@@ -297,6 +300,7 @@ _DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
     ["mld", "--r", "13", "--w", ""],
     ["scan", "--rmax", "1"],
     ["scan", "--rmax", "5", "--dim", "0"],
+    ["scan", "--rmax", "5", "--mode", "accum"],
     ["scan", "--rmax", "5", "--mode", "accum", "--target", "5", "--windows", "1"],
     ["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "-1"],
     ["verify", "terminal", "--rmax", "1"],
@@ -343,3 +347,87 @@ def test_box_limit_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("MLDLAB_BOX_LIMIT", "2")
     code, out = run_cli(capsys, "regions", "s-grid", "--nmax", "20", "--jobs", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["mld", "--r", "13", "--w", ""], "error: weights are required for r >= 2\n"),
+    (["scan", "--rmax", "5", "--mode", "accum"],
+     "error: --target and --windows are required with --mode accum\n"),
+    (["verify", "transfer", "--tuple", "7:5,4,6,2", "--eps", "1/100"],
+     "error: --tuple must look like r:a1,a2,a3,a4:e\n"),
+    ([{"MLDLAB_BOX_LIMIT": "x"}, "regions", "system", "--gamma", "[]"],
+     "error: MLDLAB_BOX_LIMIT must be a positive integer\n"),
+], ids=json.dumps)
+def test_usage_error_message(capsys, monkeypatch, argv, err):
+    if isinstance(argv[0], dict):
+        for name, value in argv[0].items():
+            monkeypatch.setenv(name, value)
+        argv = argv[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+# every function the message of a rejected argument value could name
+_FUNCTION_NAMES = {name for module in (cli, regions)
+                   for name, obj in vars(module).items() if callable(obj)}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regions", "cases", "--k", "4..x"], "argument --k: malformed range: '4..x'"),
+    (["regions", "s-grid", "--box-limit", "x"],
+     "argument --box-limit: box budget is not an integer: 'x'"),
+    (["regions", "s-grid", "--box-limit", "0"],
+     "argument --box-limit: box budget is below 1: '0'"),
+], ids=json.dumps)
+def test_rejected_value_says_what_is_wrong(capsys, argv, message):
+    err = _usage_error(capsys, argv)
+    last = err.splitlines()[-1]
+    assert last == f"mldlab {argv[0]} {argv[1]}: error: {message}"
+    assert not _FUNCTION_NAMES & set(last.replace(":", " ").split())
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (["regions", "s-grid", "--nmax", "12", "--jobs", "1"], {"nmax": 12}),
+    (["regions", "vl-steps", "--from", "4", "--to", "4"], {"from": 4, "to": 4}),
+    (["regions", "cases", "--k", "4", "--case", "1..2", "--jobs", "1"], {"k": [4, 4]}),
+    (["regions", "system", "--gamma", "[[2,1]]"], {"pairs": [[2, 1]]}),
+    (["verify", "terminal", "--rmax", "8", "--jobs", "1"], {"rmax": 8}),
+    (["verify", "fourfold", "--rmax", "12", "--jobs", "1"], {"rmax": 12}),
+    (["verify", "transfer", "--tuple", "7:5,4,6,2:2", "--eps", "1/100"],
+     {"tuple": "7:5,4,6,2:2", "eps": "1/100"}),
+    (["verify", "fivefold", "--rmax", "7", "--eps", "1/100", "--cond", "4a", "--jobs", "1"],
+     {"rmax": 7, "eps": "1/100", "cond": "4a"}),
+    (["hyperquot", "psi", "--datum", "datum.json", "--eps", "1/100"],
+     {"datum": "datum.json", "eps": "1/100"}),
+], ids=json.dumps)
+def test_manifest_contract(tmp_path, capsys, monkeypatch, argv, parameters):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "datum.json").write_text(json.dumps(_DATUM))
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    manifest = doc["manifest"]
+    assert manifest["command"] == f"{argv[0]} {argv[1]}"
+    assert manifest["parameters"] == parameters
+    assert set(manifest) == {"command", "parameters", "started", "wall_time_s"}
+    assert manifest["wall_time_s"] >= 0
+
+    path = tmp_path / "doc.json"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, "")
+    written = json.loads(path.read_text())
+    for d in (doc, written):
+        del d["manifest"]["started"], d["manifest"]["wall_time_s"]
+    assert written == doc
+
+
+@pytest.mark.parametrize("env, argv, code", [
+    ({}, ["regions", "system", "--gamma", "[]"], 0),
+    ({}, ["regions", "system", "--gamma", "[[2,1]]", "--expect-empty"], 1),
+    ({}, ["mld", "--r", "13", "--w", ""], 2),
+    ({"MLDLAB_BOX_LIMIT": "2"}, ["regions", "s-grid", "--nmax", "20", "--jobs", "1"], 3),
+], ids=json.dumps)
+def test_process_exit_status(env, argv, code):
+    done = subprocess.run([sys.executable, "-m", "mldlab.cli", *argv],
+                          env={**package_env(), **env}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == code, done.stderr[-2000:]

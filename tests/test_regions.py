@@ -93,6 +93,15 @@ def test_system_witness_trivial():
     assert res.witness == (0, 0, 0)
 
 
+def test_system_empty_initial_region():
+    # no point to witness, with or without constraints to apply
+    for G in (GammaSet(()), GammaSet(((2, 1),))):
+        res = system_empty(BoxUnion((), True), G)
+        assert res.verdict == "empty" and res.witness is None
+        assert res.applied == G.pairs[:1] and res.initial_boxes == 0
+    assert system_empty(unit_cube(True), GammaSet(())).verdict == "witness"
+
+
 def test_system_head_intervals_empty():
     for a, b in ((13, None), (11, 13)):
         res = system_empty(unit_cube(True), gamma_of_interval(a, b, 100))
