@@ -46,6 +46,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"malformed weight list: {text!r}") from exc
 
 
+def _tuple_field(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--tuple field {name} is not an integer: {text!r}") from None
+
+
 def _parse_krange(text: str) -> tuple[int, int]:
     try:
         lo, hi = map(int, text.split("..", 1)) if ".." in text else (int(text),) * 2
@@ -230,7 +237,8 @@ def _cmd_verify_transfer(args) -> tuple[dict, dict, int]:
         r_text, a_text, e_text = args.tuple.split(":")
     except ValueError:
         raise ValueError("--tuple must look like r:a1,a2,a3,a4:e") from None
-    t = verifiers.TermTuple(int(r_text), _parse_weights(a_text), int(e_text))
+    t = verifiers.TermTuple(_tuple_field("r", r_text), _parse_weights(a_text),
+                            _tuple_field("e", e_text))
     rep = verifiers.transfer_classify(t, _parse_rat(args.eps))
     payload = {
         "r": t.r, "a": list(t.a), "e": t.e, "eps": args.eps,

@@ -13,10 +13,11 @@ Multiplying through by r turns ld(k) into the integer
 
 so the whole computation runs in exact integer arithmetic.  One int64
 kernel, `ld_numerators`, evaluates it for a block of weight rows and a block
-of k, as one (d, N, K) block over the weight columns summed slab by slab;
-`toroidal_ld`, `mld` and `mld_argmin` call it over chunks of k for a
-single quotient, and `mld_argmin_batch` over the many rows of a scan, dropping
-rows that fall below a floor; the transfer scan in `verifiers` calls it too.
+of k, as one (d, N, K) block over the weight columns summed slab by slab.
+`mld_argmin_batch` is the one loop over chunks of k: it runs the kernel over
+the many rows of a scan, dropping rows that fall below a floor.  `mld` and
+`mld_argmin` are one-row batches, and `toroidal_ld` is a single kernel call;
+the transfer scan in `verifiers` calls the kernel too.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ _INT64_R_LIMIT = 3_000_000_000  # k*a < r**2 must stay below 2**63
 _K_CHUNK = 1 << 15  # k per kernel call: about 1 MB of int64 at dim 5
 
 
+def _check_int64_safe(r: int) -> None:
+    if r > _INT64_R_LIMIT:
+        raise OverflowError(f"r = {r} exceeds the int64-safe limit {_INT64_R_LIMIT}")
+
+
 def ld_numerators(r: int, W, ks) -> np.ndarray:
     """r * ld(k) for every row of the (N, d) weights ``W`` and every k in
     ``ks``, as an (N, len(ks)) int64 array, through the identity
@@ -69,8 +75,7 @@ def ld_numerators(r: int, W, ks) -> np.ndarray:
     block of products, reduced by adding its d slabs, never along the short
     last axis.  A caller holding the columns passes their transpose, which
     costs no copy."""
-    if r > _INT64_R_LIMIT:
-        raise OverflowError(f"r = {r} exceeds the int64-safe limit {_INT64_R_LIMIT}")
+    _check_int64_safe(r)
     C = np.asarray(W, dtype=np.int64).T
     P = C[:, :, None] * np.asarray(ks, dtype=np.int64)
     P -= 1
@@ -79,12 +84,6 @@ def ld_numerators(r: int, W, ks) -> np.ndarray:
     for slab in P[1:]:
         total += slab
     return total
-
-
-def _k_chunks(r: int):
-    """The indices k in [1, r-1] as consecutive int64 arrays of at most _K_CHUNK."""
-    for start in range(1, r, _K_CHUNK):
-        yield np.arange(start, min(start + _K_CHUNK, r), dtype=np.int64)
 
 
 def toroidal_weight(X: CyclicQuotient, k: int) -> tuple[Fraction, ...]:
@@ -106,31 +105,23 @@ def toroidal_ld(X: CyclicQuotient, k: int) -> Fraction:
 
 
 def mld(X: CyclicQuotient) -> Fraction:
-    """Minimal log discrepancy of X at the origin.
-
-    For r = 1 the point is smooth and the ordinary blow-up gives mld = dim;
-    otherwise the minimum of toroidal_ld over k in [1, r-1].  Always <= dim.
-    """
-    if X.r == 1:
-        return Fraction(X.dim)
-    return mld_argmin(X)[1]
+    """Minimal log discrepancy of X at the origin, as a one-row batch: the
+    minimum of toroidal_ld over k in [1, r-1], or dim at the smooth point
+    r = 1 (the ordinary blow-up gives it).  Always <= dim."""
+    numer, _ = mld_argmin_batch(X.r, [X.weights])
+    return Fraction(int(numer[0]), X.r)
 
 
 def mld_argmin(X: CyclicQuotient) -> tuple[int, Fraction]:
-    """The smallest k attaining the mld, together with the value.
+    """The smallest k attaining the mld and the value, as a one-row batch.
 
     Requires r >= 2: the smooth point r = 1 carries no toroidal valuation
     with an index.
     """
     if X.r < 2:
         raise ValueError("no toroidal valuation index exists for r = 1")
-    best_k, best = 0, X.dim * X.r + 1  # r * ld(k) <= dim * r for every k
-    for ks in _k_chunks(X.r):
-        s = ld_numerators(X.r, [X.weights], ks)[0]
-        i = int(s.argmin())  # the first minimum of the chunk
-        if s[i] < best:
-            best_k, best = int(ks[i]), int(s[i])
-    return best_k, Fraction(best, X.r)
+    numer, argk = mld_argmin_batch(X.r, [X.weights])
+    return int(argk[0]), Fraction(int(numer[0]), X.r)
 
 
 def is_isolated(X: CyclicQuotient) -> bool:
@@ -151,8 +142,11 @@ def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.nd
     attained at k = argk[i].  A row whose running minimum of r*ld(k) drops
     below its ``floor`` (a scalar or one integer per row) leaves at once: its
     numer is then only an upper bound on r*mld, below the floor.  Each step
-    runs the kernel on the rows left and the next _K_CHUNK // (rows left) k.
+    runs the kernel on the rows left and the next _K_CHUNK // (rows left) k,
+    taking the first minimum in each chunk; a later chunk replaces it only
+    when strictly smaller, so argk is the smallest minimizing k.
     """
+    _check_int64_safe(r)
     W = np.asarray(weights_matrix, dtype=np.int64) % r
     n, d = W.shape
     if r == 1:
@@ -169,5 +163,5 @@ def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.nd
         better = s < best[live]  # strict: earlier chunks keep their ties
         best[live[better]], argk[live[better]] = s[better], ks[i[better]]
         k += ks.size
-        live = np.flatnonzero(best >= floor)
+        live = (best >= floor).nonzero()[0]
     return best, argk

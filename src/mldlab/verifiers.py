@@ -10,8 +10,9 @@ Four families of checks live here:
 * desk-scale fivefold candidate scans (`fivefold_scan`, `thm35_hypotheses`).
 
 The exhaustive scans enumerate with numpy in staged passes (the identity at
-j = 1 kills almost every tuple), but every surviving tuple is re-checked with
-plain integer arithmetic, and reported results carry exact rationals only.
+j = 1 kills almost every tuple), but surviving terminal tuples are re-checked
+with plain integer arithmetic, fivefold candidates by an mld batch with no
+floor, and reported results carry exact rationals only.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import quotient
 from .pool import parallel_map
 from .qarith import (VerificationError, first_fracsum_identity_failure, gcd_table,
                      units, window_bounds)
-from .quotient import CyclicQuotient, _k_chunks, ld_numerators, mld, mld_argmin_batch
+from .quotient import CyclicQuotient, ld_numerators, mld, mld_argmin_batch
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,8 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
 
     first, _ = window_bounds(r, r, Fraction(5, 6) + eps)
     gamma = []
-    for ks in _k_chunks(r):
+    for start in range(1, r, quotient._K_CHUNK):
+        ks = np.arange(start, min(start + quotient._K_CHUNK, r), dtype=np.int64)
         lhs = ld_numerators(r, [a], ks)[0]
         ek = ks * e % r
         # a_1..a_3 are units and gcd(a_4, r) = gcd(e, r), so only a_4*k can
@@ -341,34 +344,28 @@ def _fivefold_scan_r(args) -> list[FivefoldCandidate]:
     u = np.asarray(units(r), dtype=np.int64)
     gcds = gcd_table(r)
     first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + Fraction(eps), 2)
-    out = []
-    for a1v in u.tolist():  # slab over a_1 keeps the grids small
-        grids = np.meshgrid(u, u, np.arange(r, dtype=np.int64), indexing="ij")
-        a2, a3, a4 = (g.ravel() for g in grids)
-        a1 = np.full_like(a2, a1v)
-        if condition == "4a":
-            a5 = (-(a1 + a2)) % r
-        elif condition == "4b":
-            a5 = (-2 * a4) % r
-        else:
-            a5 = (-2 * a1) % r
+    n, step, rows, numers = u.size ** 3 * r, quotient._K_CHUNK, [], []
+    for start in range(0, n, step):  # blocks of the lex-ordered rows keep memory bounded
+        index, a4 = np.divmod(np.arange(start, min(start + step, n)), r)
+        index, a3 = np.divmod(index, u.size)
+        a1, a2, a3 = u[index // u.size], u[index % u.size], u[a3]
+        a5 = {"4a": -(a1 + a2), "4b": -2 * a4, "4c": -2 * a1}[condition] % r
         keep = gcds[a4] == gcds[a5]
         if condition == "4c":
             keep &= gcds[a4] <= 2
-        total = a1 + a2 + a3 + a4 + a5
-        keep &= np.gcd(total, r) == 1
+        keep &= np.gcd(a1 + a2 + a3 + a4 + a5, r) == 1
         W = np.column_stack([a1, a2, a3, a4, a5])[keep]
-        if not len(W):
-            continue
         numer, _ = mld_argmin_batch(r, W, first)
         sel = (numer >= first) & (numer < stop)
-        for row, num in zip(W[sel], numer[sel]):
-            X = CyclicQuotient(r, tuple(int(x) for x in row))
-            value = Fraction(int(num), r)
-            if mld(X) != value:  # revalidate the batch result exactly
-                raise VerificationError((X, value))
-            out.append(FivefoldCandidate(X, value))
-    return out
+        rows.append(W[sel])
+        numers.append(numer[sel])
+    W, numer = np.vstack(rows), np.concatenate(numers)
+    bad = np.flatnonzero(mld_argmin_batch(r, W)[0] != numer)  # floor-0 re-check
+    if bad.size:
+        X = CyclicQuotient(r, tuple(W[bad[0]].tolist()))
+        raise VerificationError((X, Fraction(int(numer[bad[0]]), r)))
+    return [FivefoldCandidate(CyclicQuotient(r, tuple(row)), Fraction(num, r))
+            for row, num in zip(W.tolist(), numer.tolist())]
 
 
 def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[FivefoldCandidate]:

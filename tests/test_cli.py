@@ -261,6 +261,9 @@ def _usage_error(capsys, argv):
     ["mld", "--r", "10000000000", "--w", "1,2,3"],
     # passes every hypothesis checked before the scan over k
     ["verify", "transfer", "--tuple", "10000000001:1,1,1,2:4", "--eps", "1/100"],
+    # beyond int64 itself, for r and for a weight: the limit is checked first
+    ["mld", "--r", "100000000000000000000", "--w", "1,2,3"],
+    ["mld", "--r", "100000000000000000000", "--w", "99999999999999999999,2,3"],
 ])
 def test_r_beyond_int64_is_usage_error(capsys, argv):
     assert "int64" in _usage_error(capsys, argv)
@@ -355,6 +358,10 @@ def test_box_limit_exit_code(capsys, monkeypatch):
      "error: --target and --windows are required with --mode accum\n"),
     (["verify", "transfer", "--tuple", "7:5,4,6,2", "--eps", "1/100"],
      "error: --tuple must look like r:a1,a2,a3,a4:e\n"),
+    (["verify", "transfer", "--tuple", "x:5,4,6,2:2", "--eps", "1/100"],
+     "error: --tuple field r is not an integer: 'x'\n"),
+    (["verify", "transfer", "--tuple", "7:5,4,6,2:y", "--eps", "1/100"],
+     "error: --tuple field e is not an integer: 'y'\n"),
     ([{"MLDLAB_BOX_LIMIT": "x"}, "regions", "system", "--gamma", "[]"],
      "error: MLDLAB_BOX_LIMIT must be a positive integer\n"),
 ], ids=json.dumps)

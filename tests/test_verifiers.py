@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import transfer_oracle
-from mldlab import quotient, verifiers
+from mldlab import quotient, spectrum, verifiers
+from mldlab.qarith import VerificationError
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
@@ -284,9 +286,41 @@ def test_fivefold_scan_tiny_eps():
             == fivefold_scan(13, Fraction(1, 100), "4a"))
 
 
+def test_fivefold_scan_row_blocks(monkeypatch):
+    # rows go in blocks of _K_CHUNK; 7 puts block boundaries inside every
+    # (a_1, a_2, a_3) run, and the candidates must not move
+    want = {cond: fivefold_scan(13, Fraction(1, 100), cond) for cond in ("4a", "4b", "4c")}
+    monkeypatch.setattr(quotient, "_K_CHUNK", 7)
+    assert {cond: fivefold_scan(13, Fraction(1, 100), cond) for cond in want} == want
+
+
+def _wrong_floor(real):
+    """mld_argmin_batch with a broken floor: a floored call reports every row
+    above its floor at the floor, a wrong kept minimum."""
+    def batch(r, W, *floor):
+        numer, argk = real(r, W, *floor)
+        return (np.minimum(numer, floor[0]) if floor else numer), argk
+    return batch
+
+
+@pytest.mark.parametrize("module, run", [
+    (spectrum, lambda: spectrum._scan_r(13, spectrum.ScanConfig(
+        dim=3, r_max=13, lo=Fraction(5, 6), hi=Fraction(1)))),
+    (verifiers, lambda: verifiers._fivefold_scan_r((13, Fraction(1, 100), "4a"))),
+], ids=["spectrum", "fivefold"])
+def test_batch_recheck_catches_a_wrong_floor(monkeypatch, module, run):
+    # the floor-0 re-check over the kept rows is what guards the floor logic
+    assert run()
+    monkeypatch.setattr(module, "mld_argmin_batch", _wrong_floor(module.mld_argmin_batch))
+    with pytest.raises(VerificationError):
+        run()
+
+
 def test_lift_check_survives_optimize():
-    # the mld re-check in lift_to_fivefold must not vanish under python -O
+    # the mld re-check in lift_to_fivefold and the batch re-check of the
+    # fivefold scan must not vanish under python -O
     script = "\n".join([
+        "import numpy as np",
         "from fractions import Fraction",
         "from mldlab import verifiers",
         "from mldlab.qarith import VerificationError",
@@ -296,6 +330,12 @@ def test_lift_check_survives_optimize():
         "    verifiers.lift_to_fivefold(t, eps)",
         "except VerificationError:",
         "    print('caught')",
+        inspect.getsource(_wrong_floor),
+        "verifiers.mld_argmin_batch = _wrong_floor(verifiers.mld_argmin_batch)",
+        "try:",
+        "    verifiers._fivefold_scan_r((13, Fraction(1, 100), '4a'))",
+        "except VerificationError:",
+        "    print('caught')",
     ])
     src = str(Path(verifiers.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -303,7 +343,7 @@ def test_lift_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "caught"
+    assert proc.stdout.split() == ["caught", "caught"]
 
 
 def test_fivefold_scan_4b_congruence():
