@@ -70,6 +70,16 @@ def _parse_budget(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return jobs
+
+
 def _int_list(value) -> bool:
     """Whether a parsed JSON value is a list of JSON integers (booleans excluded)."""
     return isinstance(value, list) and all(type(x) is int for x in value)
@@ -313,7 +323,7 @@ def _cmd_hq_type(args) -> int:
 def _structured(q, func, *, jobs: bool = False, box_limit: bool = False) -> None:
     """Add the trailing flags of a structured command and bind its function."""
     if jobs:
-        q.add_argument("--jobs", type=int, default=_default_jobs())
+        q.add_argument("--jobs", type=_parse_jobs, default=_default_jobs())
     if box_limit:
         q.add_argument("--box-limit", type=_parse_budget, default=None)
     q.add_argument("--out", default=None)
@@ -341,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open-left", action="store_true")
     p.add_argument("--closed-right", action="store_true")
     p.add_argument("--isolated", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_parse_jobs, default=_default_jobs())
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--mode", choices=("records", "values", "accum"),
                    default="records")

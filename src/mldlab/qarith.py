@@ -37,6 +37,24 @@ def gcd_table(r: int) -> np.ndarray:
     return np.gcd(np.arange(r, dtype=np.int64), r)
 
 
+def sorted_tuples(values, count: int) -> np.ndarray:
+    """The non-decreasing ``count``-tuples over the ascending ``values``, in
+    lexicographic order, as an (N, count) int64 array; one empty row when
+    count is 0.
+
+    Built column by column on index arrays: a row whose last index is i is
+    repeated once per index in [i, len(values)), so no Python tuple is made."""
+    vals = np.asarray(values, dtype=np.int64)
+    idx = np.zeros((1, 0), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(count):
+        span = len(vals) - last
+        parent = np.repeat(np.arange(len(last)), span)
+        last = np.arange(len(parent)) - np.repeat(np.cumsum(span) - span - last, span)
+        idx = np.column_stack([idx[parent], last])
+    return vals[idx]
+
+
 def window_bounds(r: int, top: int, lo, hi=None,
                   include_lo: bool = True, include_hi: bool = False) -> tuple[int, int]:
     """Integer thresholds (first, stop): first <= n < stop exactly when n/r

@@ -10,7 +10,9 @@ coordinate equals g, the minimal gcd(a_i, r) over the coordinates (scale the
 minimizing coordinate by a suitable unit), and whose remaining coordinates
 have gcd at least g.  So representatives are generated per divisor g of r and
 deduplicated afterwards through the canonical form.  Isolated scans (all
-gcds 1) only need the g = 1 slab with unit entries.
+gcds 1) only need the g = 1 slab with unit entries.  Each slab's free
+coordinates are the non-decreasing (dim - 1)-tuples over its residues, built
+in numpy by `qarith.sorted_tuples`, one code path for every dimension.
 
 The rows whose mld lands in the interval are canonicalized together in numpy
 (`_canonical_rows`); `canonical_weights` is the scalar definition it is
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,8 @@ import numpy as np
 
 from . import quotient
 from .pool import parallel_map
-from .qarith import VerificationError, format_rat, gcd_table, units, window_bounds
+from .qarith import (VerificationError, format_rat, gcd_table, sorted_tuples, units,
+                     window_bounds)
 from .quotient import CyclicQuotient, mld, mld_argmin_batch
 
 
@@ -107,36 +109,18 @@ def family_example(k: int, m: int) -> tuple[CyclicQuotient, Fraction]:
     return X, expected
 
 
-def _free_tuples(values: list[int], count: int) -> np.ndarray:
-    """Sorted tuples of length ``count`` over ``values`` as an (N, count) array."""
-    vals = np.asarray(values, dtype=np.int64)
-    if count == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    if count == 1:
-        return vals.reshape(-1, 1)
-    if count == 2:
-        i, j = np.triu_indices(len(vals))
-        return np.column_stack([vals[i], vals[j]])
-    combos = list(itertools.combinations_with_replacement(values, count))
-    return np.asarray(combos, dtype=np.int64).reshape(len(combos), count)
-
-
 def _representatives(r: int, dim: int, isolated_only: bool) -> np.ndarray:
     """Weight tuples meeting every class at least once (with redundancy)."""
-    if r == 1:
-        return np.zeros((1, dim), dtype=np.int64)
-    blocks = []
+    gcds = gcd_table(r)
     if isolated_only:
-        free = _free_tuples(units(r), dim - 1)
-        pinned = np.full((free.shape[0], 1), 1, dtype=np.int64)
-        blocks.append(np.hstack([pinned, free]))
+        slabs = [(1, gcds == 1)]
     else:
-        gcds = gcd_table(r)
-        for g in sorted(d for d in range(1, r + 1) if r % d == 0):
-            values = np.nonzero(gcds >= g)[0].tolist()
-            free = _free_tuples(values, dim - 1)
-            pinned = np.full((free.shape[0], 1), g % r, dtype=np.int64)
-            blocks.append(np.hstack([pinned, free]))
+        slabs = [(g, gcds >= g) for g in range(1, r + 1) if r % g == 0]
+    blocks = []
+    for g, mask in slabs:
+        free = sorted_tuples(np.flatnonzero(mask), dim - 1)
+        pinned = np.full((free.shape[0], 1), g % r, dtype=np.int64)
+        blocks.append(np.hstack([pinned, free]))
     return np.vstack(blocks)
 
 

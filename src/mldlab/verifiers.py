@@ -27,7 +27,7 @@ import numpy as np
 from . import quotient
 from .pool import parallel_map
 from .qarith import (VerificationError, first_fracsum_identity_failure, gcd_table,
-                     units, window_bounds)
+                     sorted_tuples, units, window_bounds)
 from .quotient import CyclicQuotient, ld_numerators, mld, mld_argmin_batch
 
 
@@ -119,8 +119,7 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     (it pins e = a_1+a_2+a_3+a_4 - r - 1); stage two runs the remaining j
     with a shrinking mask; survivors get exact scalar re-checks.
     """
-    triples = np.asarray(list(itertools.combinations_with_replacement(units(r), 3)),
-                         dtype=np.int64)
+    triples = sorted_tuples(units(r), 3)
     gcds = gcd_table(r)
     a4 = np.arange(r, dtype=np.int64)
     s3 = triples.sum(axis=1)
@@ -162,9 +161,7 @@ def _fourfold_window_rows(r: int) -> np.ndarray:
 
     Each slab fixes a and joins the pairs (a, b) with the pairs c <= d that
     have c >= b, so no temporary holds more than r**3 / 2 entries."""
-    x, y = np.triu_indices(r - 1)  # the pairs x <= y over [1, r-1], in lex order
-    x += 1
-    y += 1
+    x, y = sorted_tuples(np.arange(1, r), 2).T  # the pairs x <= y over [1, r-1], in lex order
     slabs = [np.zeros((0, 4), dtype=np.int64)]
     for a in range(1, (r + 1) // 2):  # s >= 4a must stay below 2r
         b = np.arange(a, r, dtype=np.int64)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -217,6 +218,22 @@ def test_jobs_determinism_small(capsys):
         assert payload_of(out1) == payload_of(out2)
 
 
+@pytest.mark.parametrize("argv, jobs, sha", [
+    # the scan_narrow reference digest of the benchmark
+    (["--dim", "3", "--rmax", "100", "--interval", "5/6,1", "--open-left"], jobs,
+     "b2ac9cd53f9adef4faca5ab2099dfddaad8ef756beaf413fe4b2aa67f1837f58") for jobs in ("1", "2")
+] + [
+    (["--dim", "4", "--rmax", "40", "--interval", "11/6,2", "--open-left"], "1",
+     "e93f70f79708e774403f4679c096d8f6a8868c5f7149b38c49f5bb08da8b8a32"),
+    (["--dim", "5", "--rmax", "16"], "1",
+     "4d3fe248a46f055e3f25c774f7ad4f8219b678ead3d4f61e3e2742d6d4901f35"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v[:8])
+def test_scan_stdout_pinned(capsys, argv, jobs, sha):
+    code, out = run_cli(capsys, "scan", *argv, "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_scan_huge_denominator_bound(capsys):
     # no k/r with r <= 13 lies in (5/6, 5/6 + 1/(6*10**18)], so the two
     # intervals select the same records; int64 products of the bound wrapped
@@ -333,6 +350,12 @@ _DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
     for limit in ("0", "-5") for jobs in ("1", "2")
 ] + [
     [{"MLDLAB_BOX_LIMIT": "0"}, "regions", "system", "--gamma", "[]"],
+] + [
+    # a job count below 1 would silently run in-process
+    ["scan", "--rmax", "5", "--jobs", "0"],
+    ["verify", "terminal", "--rmax", "5", "--jobs", "0"],
+    ["verify", "fourfold", "--rmax", "3", "--jobs", "-1"],
+    ["regions", "s-grid", "--nmax", "5", "--jobs", "0"],
 ], ids=json.dumps)
 def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     if isinstance(argv[0], dict):
@@ -344,6 +367,12 @@ def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv):
         path.write_text(json.dumps({**_DATUM, **argv[-1]}))
         argv = argv[:-1] + ["--datum", str(path), "--eps", "1/100"]
     _usage_error(capsys, argv)
+
+
+def test_jobs_below_one_names_the_flag(capsys):
+    err = _usage_error(capsys, ["verify", "fivefold", "--eps", "1/100", "--cond", "4a",
+                                "--jobs", "0"])
+    assert err.splitlines()[-1].endswith("error: argument --jobs: must be at least 1: '0'")
 
 
 def test_box_limit_exit_code(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from mldlab.qarith import (consecutive_integers, count_nondivisible, format_rat, frac,
-                           fracsum_identity_failures, gcd_table, units, window_bounds)
+                           fracsum_identity_failures, gcd_table, sorted_tuples, units,
+                           window_bounds)
 
 
 def test_frac_examples():
@@ -128,3 +130,29 @@ def test_residue_helpers():
     assert gcd_table(12).tolist() == [12, 1, 2, 3, 4, 1, 6, 1, 4, 3, 2, 1]
     assert gcd_table(12).dtype == np.int64
     assert format_rat(Fraction(-6, 4)) == "-3/2" and format_rat(Fraction(4)) == "4"
+
+
+def _assert_sorted_tuples(values, count):
+    got = sorted_tuples(values, count)
+    want = list(itertools.combinations_with_replacement(list(values), count))
+    assert got.dtype == np.int64 and got.shape == (len(want), count)
+    assert [tuple(row) for row in got.tolist()] == want  # same rows, same order
+
+
+@pytest.mark.parametrize("count", range(6))
+def test_sorted_tuples_over_ranges(count):
+    for n in range(8):
+        _assert_sorted_tuples(range(n), count)
+
+
+@pytest.mark.parametrize("count", range(5))
+def test_sorted_tuples_over_sparse_values(count):
+    _assert_sorted_tuples(units(15), count)
+    _assert_sorted_tuples(np.flatnonzero(gcd_table(36) >= 4), count)  # a divisor slab
+
+
+def test_sorted_tuples_over_no_values():
+    assert sorted_tuples([], 0).shape == (1, 0)
+    for count in (1, 2, 5):
+        assert sorted_tuples([], count).shape == (0, count)
+        assert sorted_tuples(np.zeros(0, dtype=np.int64), count).shape == (0, count)

@@ -226,10 +226,12 @@ def test_scan_matches_morrison_canonical_list():
     assert len(want | exceptions) == 120 and got == want | exceptions
 
 
-def test_scan_orbit_completeness():
-    # the full-window scan yields exactly one record per orbit of (Z/r)^3
+@pytest.mark.parametrize("dim, r_max, orbits",
+                         [(1, 30, 111), (2, 20, 305), (3, 14, 509), (4, 9, 365), (5, 7, 303)])
+def test_scan_orbit_completeness(dim, r_max, orbits):
+    # the full-window scan yields exactly one record per orbit of (Z/r)^dim
     # under units and permutations
-    got = _classes(ScanConfig(dim=3, r_max=14, lo=Fraction(0)))
-    want = {(r, canonical_weights(r, w)) for r in range(1, 15)
-            for w in itertools.product(range(r), repeat=3)}
-    assert len(want) == 509 and got == want
+    got = _classes(ScanConfig(dim=dim, r_max=r_max, lo=Fraction(0)))
+    want = {(r, canonical_weights(r, w)) for r in range(1, r_max + 1)
+            for w in itertools.product(range(r), repeat=dim)}
+    assert len(want) == orbits and got == want
