@@ -18,17 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .qarith import fracsum_identity_failures, units, window_bounds
+from .qarith import TermTuple, fracsum_identity_failures, window_bounds, window_eps
 
 SUPPORT_CAP = 10**4
-
-
-def _check_action(r: int, a) -> None:
-    """Reject an action that is not (r; a_1..a_4) with r >= 2."""
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if len(a) != 4:
-        raise ValueError("exactly four weights required")
 
 
 @dataclass(frozen=True)
@@ -61,18 +53,10 @@ class MonomialSupport:
 
 
 @dataclass(frozen=True)
-class HyperquotientDatum:
+class HyperquotientDatum(TermTuple):
     """Cyclic action data (r; a_1..a_4; e) together with an equation support."""
 
-    r: int
-    a: tuple[int, int, int, int]
-    e: int
     support: MonomialSupport
-
-    def __post_init__(self):
-        _check_action(self.r, self.a)
-        object.__setattr__(self, "a", tuple(x % self.r for x in self.a))
-        object.__setattr__(self, "e", self.e % self.r)
 
 
 @dataclass(frozen=True)
@@ -119,8 +103,7 @@ def _is_primitive(numers: tuple[int, ...], r: int, alpha_patterns: frozenset) ->
 
 def _box_weights(r: int, a) -> list[tuple[tuple[int, ...], LatticeWeight]]:
     """(numerators over r, weight) for every weight of enumerate_N0, in its order."""
-    _check_action(r, a)
-    a = tuple(x % r for x in a)
+    a = TermTuple(r, a, 0).a
     alpha_patterns = frozenset(tuple(j * x % r for x in a) for j in range(r))
     fracs = [Fraction(x, r) for x in range(r + 1)]
     found: dict[tuple[int, ...], LatticeWeight] = {}
@@ -167,9 +150,7 @@ def psi_classify(d: HyperquotientDatum, eps) -> PsiPartition:
 
     Exact integer arithmetic on the numerators n over r: the gap of n/r is
     G/r with G = sum(n) - min over the support of sum_i n_i*alpha_i."""
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 6):
-        raise ValueError("eps must lie in (0, 1/6)")
+    eps = window_eps(eps)
     r = d.r
     weights = _box_weights(r, d.a)
     violator = semi_invariant_check(d)
@@ -188,11 +169,8 @@ def psi_classify(d: HyperquotientDatum, eps) -> PsiPartition:
 
 def identity5_check(r: int, a, e: int) -> list[int]:
     """Failing class indices of sum_i {j*a_i/r} = {j*e/r} + j/r + 1; [] means ok."""
-    _check_action(r, a)
-    return fracsum_identity_failures(r, a, e)
-
-
-_PARAMETERLESS = ("2a", "2b")
+    t = TermTuple(r, a, e)
+    return fracsum_identity_failures(t.r, t.a, t.e)
 
 
 def _pattern(tag: str, r: int, x: int | None):
@@ -225,35 +203,35 @@ def _pattern(tag: str, r: int, x: int | None):
     raise ValueError(f"unknown pattern tag {tag}")
 
 
-TYPE_TAGS = ("1a", "1b", "1c", "1d", "2a", "2b",
-             "3a", "3b", "3c", "3d", "3e", "3f")
+# Where each pattern's unit parameter x sits bare in its residue 5-tuple
+# (None: the pattern has no parameter).  As x lies in [1, r-1], a matching
+# target holds x itself at that coordinate.
+_PARAMETER_AT = {"1a": 0, "1b": 1, "1c": 0, "1d": 0, "2a": None, "2b": None,
+                 "3a": 1, "3b": 0, "3c": 1, "3d": 2, "3e": 0, "3f": 1}
+TYPE_TAGS = tuple(_PARAMETER_AT)
 
 
 def classify_type(r: int, a, e: int, all_matches: bool = False):
     """Match (a_1..a_4, e) mod r against the classification patterns.
 
-    Patterns are tried in listed order; parametrized ones search the unit
-    parameter.  Returns the first (tag, parameter) pair, or ("none", None);
-    with all_matches every match is returned.
+    Patterns are tried in listed order; a parametrized one reads its unit
+    parameter off the target, so each pattern is built at most once.
+    Returns the first (tag, parameter) pair, or ("none", None); with
+    all_matches every match is returned.
     """
-    _check_action(r, a)
-    target = tuple(x % r for x in a) + (e % r,)
-    unit_params = units(r)
+    t = TermTuple(r, a, e)
+    target = t.a + (t.e,)
     matches = []
-    for tag in TYPE_TAGS:
-        params = (None,) if tag in _PARAMETERLESS else unit_params
-        for x in params:
-            pat = _pattern(tag, r, x)
-            if pat is None:
-                continue
-            if tuple(v % r for v in pat) == target:
-                matches.append((tag, x))
-                if not all_matches:
-                    return matches[0]
-                break  # first parameter per tag is enough
-    if all_matches:
-        return matches
-    return ("none", None)
+    for tag, at in _PARAMETER_AT.items():
+        x = None if at is None else target[at]
+        if x is not None and math.gcd(x, r) != 1:
+            continue
+        pat = _pattern(tag, r, x)
+        if pat is not None and tuple(v % r for v in pat) == target:
+            if not all_matches:
+                return tag, x
+            matches.append((tag, x))
+    return matches if all_matches else ("none", None)
 
 
 def two_monomials_verify(S: MonomialSupport, axis: int, w1, w2) -> bool:

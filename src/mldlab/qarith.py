@@ -1,5 +1,5 @@
-"""Exact rational helpers, residue tables, and the elementary counting facts
-used by the scanners.
+"""Exact rational helpers, residue tables, the cyclic-action datum shared by
+the lemma suites, and the elementary counting facts used by the scanners.
 
 Everything here is pure integer / `fractions.Fraction` arithmetic; no floats.
 """
@@ -7,6 +7,7 @@ Everything here is pure integer / `fractions.Fraction` arithmetic; no floats.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,42 @@ Rat = Fraction
 class VerificationError(RuntimeError):
     """An exact re-check disagreed with the result it guards: a bug, not a
     counterexample."""
+
+
+@dataclass(frozen=True)
+class TermTuple:
+    """The cyclic action (r; a_1..a_4; e): four weights and a character,
+    stored reduced mod r."""
+
+    r: int
+    a: tuple[int, int, int, int]
+    e: int
+
+    def __post_init__(self):
+        if self.r < 2:
+            raise ValueError("r must be at least 2")
+        if len(self.a) != 4:
+            raise ValueError("exactly four weights required")
+        object.__setattr__(self, "a", tuple(x % self.r for x in self.a))
+        object.__setattr__(self, "e", self.e % self.r)
+
+    def gcd_failure(self) -> str | None:
+        """The first failed gcd side condition (a_1..a_3 units mod r, then
+        gcd(a_4, r) = gcd(e, r)), or None when both hold."""
+        for i in range(3):
+            if math.gcd(self.a[i], self.r) != 1:
+                return f"gcd(a{i + 1}, r) != 1"
+        if math.gcd(self.a[3], self.r) != math.gcd(self.e, self.r):
+            return "gcd(a4, r) != gcd(e, r)"
+        return None
+
+
+def window_eps(eps) -> Fraction:
+    """eps as a Fraction, which must lie in the lemma domain (0, 1/6)."""
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 6):
+        raise ValueError("eps must lie in (0, 1/6)")
+    return eps
 
 
 def format_rat(q: Fraction) -> str:

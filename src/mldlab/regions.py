@@ -20,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .pool import parallel_map
@@ -439,17 +440,15 @@ def case_constraints(k: int, case_id: int) -> GammaSet:
     return GammaSet(table[case_id])
 
 
-def verify_case(k: int, case_id: int, limit: int | None = None) -> SystemResult:
-    """Run one interval case at level k; an 'empty' verdict is the expected one."""
-    initial = case_initial_region(k, limit)
-    return system_empty(initial, case_constraints(k, case_id), limit)
-
-
-def _case_level_task(args):
-    k, case_ids, limit = args
+def _case_level_task(k: int, case_ids, limit: int | None) -> list:
     initial = case_initial_region(k, limit)
     return [(k, cid, system_empty(initial, case_constraints(k, cid), limit))
             for cid in case_ids]
+
+
+def verify_case(k: int, case_id: int, limit: int | None = None) -> SystemResult:
+    """Run one interval case at level k; an 'empty' verdict is the expected one."""
+    return _case_level_task(k, (case_id,), limit)[0][2]
 
 
 def verify_cases(ks, case_ids, limit: int | None = None, jobs: int = 1):
@@ -459,8 +458,8 @@ def verify_cases(ks, case_ids, limit: int | None = None, jobs: int = 1):
     pool tasks are the levels.  Yields (k, case_id, SystemResult) in
     deterministic (k, case_id) order.
     """
-    tasks = [(k, tuple(case_ids), limit) for k in ks]
-    for results in parallel_map(_case_level_task, tasks, jobs):
+    task = partial(_case_level_task, case_ids=tuple(case_ids), limit=limit)
+    for results in parallel_map(task, tuple(ks), jobs):
         yield from results
 
 
@@ -490,8 +489,8 @@ def s_grid_intervals() -> list[tuple[Fraction, Fraction | None]]:
     return out
 
 
-def _s_grid_task(args):
-    a, b, n_max, limit = args
+def _s_grid_task(interval, n_max: int, limit: int | None) -> dict:
+    a, b = interval
     G = gamma_of_interval(a, b, n_max)
     result = system_empty(unit_cube(ordered_simplex=True), G, limit)
     return {"interval": [format_rat(a), "inf" if b is None else format_rat(b)],
@@ -500,5 +499,5 @@ def _s_grid_task(args):
 
 def verify_s_grid(n_max: int, limit: int | None = None, jobs: int = 1) -> list[dict]:
     """Run every interval of the grid against the unit cube; report per-interval."""
-    tasks = [(a, b, n_max, limit) for a, b in s_grid_intervals()]
-    return list(parallel_map(_s_grid_task, tasks, jobs))
+    task = partial(_s_grid_task, n_max=n_max, limit=limit)
+    return list(parallel_map(task, s_grid_intervals(), jobs))

@@ -24,8 +24,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -166,10 +167,6 @@ def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
             for cw, num, k in zip(canon.tolist(), canon_numer.tolist(), argk.tolist())]
 
 
-def _scan_r_task(args):
-    return _scan_r(*args)
-
-
 def scan(cfg: ScanConfig):
     """Iterate SpectrumRecords for r in [1, r_max], mld inside the interval.
 
@@ -177,8 +174,7 @@ def scan(cfg: ScanConfig):
     The per-r work goes through `parallel_map` with cfg.jobs; the merged
     output is identical for every job count.
     """
-    tasks = [(r, cfg) for r in range(1, cfg.r_max + 1)]
-    for recs in parallel_map(_scan_r_task, tasks, cfg.jobs):
+    for recs in parallel_map(partial(_scan_r, cfg=cfg), range(1, cfg.r_max + 1), cfg.jobs):
         yield from recs
 
 
@@ -200,9 +196,7 @@ def accumulation_report(cfg: ScanConfig, target: Fraction, windows) -> list[tupl
     windows = [Fraction(w) for w in windows]
     if not windows or any(w <= 0 for w in windows):
         raise ValueError("windows must be positive")
-    wide = ScanConfig(dim=cfg.dim, r_max=cfg.r_max, lo=target, hi=target + max(windows),
-                      include_lo=False, include_hi=True,
-                      isolated_only=cfg.isolated_only, jobs=cfg.jobs)
+    wide = replace(cfg, lo=target, hi=target + max(windows), include_lo=False, include_hi=True)
     values = distinct_values(wide)
     return [(w, sum(1 for v in values if v <= target + w)) for w in windows]
 

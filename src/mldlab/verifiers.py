@@ -21,31 +21,23 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import quotient
 from .pool import parallel_map
-from .qarith import (VerificationError, first_fracsum_identity_failure, gcd_table,
-                     sorted_tuples, units, window_bounds)
+from .qarith import (TermTuple, VerificationError, first_fracsum_identity_failure,
+                     gcd_table, sorted_tuples, units, window_bounds, window_eps)
 from .quotient import CyclicQuotient, ld_numerators, mld, mld_argmin_batch
 
 
-@dataclass(frozen=True)
-class TermTuple:
-    """Residues (a_1..a_4, e) mod r feeding the congruence-identity checkers."""
-
-    r: int
-    a: tuple[int, int, int, int]
-    e: int
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("r must be at least 2")
-        if len(self.a) != 4:
-            raise ValueError("exactly four weights required")
-        object.__setattr__(self, "a", tuple(x % self.r for x in self.a))
-        object.__setattr__(self, "e", self.e % self.r)
+def _levels(scan_r, r_max: int, jobs: int) -> list:
+    """scan_r(r) for every level r in [2, r_max] through `parallel_map`,
+    concatenated in r order."""
+    if r_max < 2:
+        raise ValueError("r_max must be at least 2")
+    return [x for sub in parallel_map(scan_r, range(2, r_max + 1), jobs) for x in sub]
 
 
 @dataclass(frozen=True)
@@ -61,16 +53,11 @@ def terminal_hypothesis(t: TermTuple) -> HypothesisCheck:
     Returns ok, or the smallest failing j of the identity, or (when the
     identity holds everywhere) the failed gcd condition.
     """
-    r = t.r
-    j = first_fracsum_identity_failure(r, t.a, t.e)
+    j = first_fracsum_identity_failure(t.r, t.a, t.e)
     if j is not None:
         return HypothesisCheck(False, "identity fails", j)
-    for i in range(3):
-        if math.gcd(t.a[i], r) != 1:
-            return HypothesisCheck(False, f"gcd(a{i + 1}, r) != 1")
-    if math.gcd(t.a[3], r) != math.gcd(t.e, r):
-        return HypothesisCheck(False, "gcd(a4, r) != gcd(e, r)")
-    return HypothesisCheck(True)
+    failure = t.gcd_failure()
+    return HypothesisCheck(failure is None, failure)
 
 
 def _zero_sum_matching(vals, r) -> bool:
@@ -148,10 +135,7 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
 
 def terminal_bruteforce(r_max: int, jobs: int = 1) -> list[TermTuple]:
     """Scan all admissible tuples with r <= r_max; expected to return []."""
-    if r_max < 2:
-        raise ValueError("r_max must be at least 2")
-    return [t for sub in parallel_map(_terminal_scan_r, range(2, r_max + 1), jobs)
-            for t in sub]
+    return _levels(_terminal_scan_r, r_max, jobs)
 
 
 def _fourfold_window_rows(r: int) -> np.ndarray:
@@ -186,10 +170,7 @@ def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
 
 def fourfold_gap_scan(r_max: int, jobs: int = 1) -> list[tuple[Fraction, ...]]:
     """Exhaustive denominator-r scan of the fourfold gap window; expected []."""
-    if r_max < 2:
-        raise ValueError("r_max must be at least 2")
-    return [v for sub in parallel_map(_fourfold_scan_r, range(2, r_max + 1), jobs)
-            for v in sub]
+    return _levels(_fourfold_scan_r, r_max, jobs)
 
 
 @dataclass(frozen=True)
@@ -216,20 +197,16 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
     Case 1 means r | e*k for all k in Gamma (p = gcd(e, r) and q = r/p are
     derived); case 2 otherwise.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 6):
-        raise ValueError("eps must lie in (0, 1/6)")
+    eps = window_eps(eps)
     r, a, e = t.r, t.a, t.e
 
     def report(failure, failure_k=None, gamma=()):
         return TransferReport(tuple(gamma), False, failure, failure_k,
                               "violated", None)
 
-    for i in range(3):
-        if math.gcd(a[i], r) != 1:
-            return report(f"gcd(a{i + 1}, r) != 1")
-    if math.gcd(a[3], r) != math.gcd(e, r):
-        return report("gcd(a4, r) != gcd(e, r)")
+    failure = t.gcd_failure()
+    if failure is not None:
+        return report(failure)
     if (sum(a) - e - 1) % r != 0:
         return report("a1+a2+a3+a4 - e != 1 mod r")
     alt1 = (a[0] + a[1] - e) % r == 0
@@ -336,11 +313,10 @@ class FivefoldCandidate:
     mld: Fraction
 
 
-def _fivefold_scan_r(args) -> list[FivefoldCandidate]:
-    r, eps, condition = args
+def _fivefold_scan_r(r: int, eps, condition: str) -> list[FivefoldCandidate]:
     u = np.asarray(units(r), dtype=np.int64)
     gcds = gcd_table(r)
-    first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + Fraction(eps), 2)
+    first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + eps, 2)
     n, step, rows, numers = u.size ** 3 * r, quotient._K_CHUNK, [], []
     for start in range(0, n, step):  # blocks of the lex-ordered rows keep memory bounded
         index, a4 = np.divmod(np.arange(start, min(start + step, n)), r)
@@ -371,13 +347,8 @@ def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[Fivefo
     enumeration runs over (a_1, a_2, a_3, a_4) only."""
     if condition not in _CONDITIONS:
         raise ValueError(f"condition must be one of {_CONDITIONS}")
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 6):
-        raise ValueError("eps must lie in (0, 1/6)")
-    if r_max < 2:
-        raise ValueError("r_max must be at least 2")
-    tasks = [(r, eps, condition) for r in range(2, r_max + 1)]
-    return [c for sub in parallel_map(_fivefold_scan_r, tasks, jobs) for c in sub]
+    eps = window_eps(eps)
+    return _levels(partial(_fivefold_scan_r, eps=eps, condition=condition), r_max, jobs)
 
 
 def thm35_hypotheses(X: CyclicQuotient, mu: int) -> tuple[bool, str]:

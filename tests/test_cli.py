@@ -234,6 +234,46 @@ def test_scan_stdout_pinned(capsys, argv, jobs, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+_FIVEFOLD = ["verify", "fivefold", "--rmax", "13", "--eps", "1/100", "--cond"]
+_TRANSFER = ["verify", "transfer", "--eps", "1/100", "--tuple"]
+_PSI_DATUM = {"r": 11, "a": [3, 8, 1, 0], "e": 0,
+              "support": [[1, 1, 0, 0], [0, 0, 11, 0], [11, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("argv, sha", [
+    (_FIVEFOLD + ["4a"], "c573bcca34e9bf2fee22a3b87b4e9c398cd85b4488efef738a81056705c5aaaa"),
+    (_FIVEFOLD + ["4b"], "b4ee1ec251f6b3efbfc21b4275fa62a1df116891e537a5c29e679ebc8b6463e0"),
+    (_FIVEFOLD + ["4c"], "7106104d1d9c086bacc2703413f11312265a5e9adc415829c1abdf63eaa832c3"),
+    (["verify", "terminal", "--rmax", "30"],
+     "3e65fd4280175198a0c0877540de18e5c9d3548a0b220e422b1f9d1a44d17ba7"),
+    (["verify", "fourfold", "--rmax", "40"],
+     "964a2a0119e90b7114a14f520108eeead1350521f1a08fd6735b94ee5a00333b"),
+    (_TRANSFER + ["7:5,4,6,2:2"],
+     "2fd8910fb37d8f4ca66cb52f82dd0325bb6bf4a4e6dc01e27c3656bcb1278b58"),
+    (_TRANSFER + ["26:15,21,23,24:4"],
+     "4a9e4ae7ac38baf1103500f06354d2c514dd0f9f5a86feaea4240974a225513e"),
+    # fails with gcd(a1, r) != 1, then with gcd(a4, r) != gcd(e, r)
+    (_TRANSFER + ["6:2,1,1,2:2"],
+     "46f05ee4c42a14d16a753e306f1b357cf2208cd6d8d572852c23b200fe295280"),
+    (_TRANSFER + ["6:1,1,1,3:2"],
+     "95428259d1642df5e3fb38a762bb87dd3756c79d1b143e177336de6c7074b27d"),
+    (["hyperquot", "psi", "--eps", "1/100", "--datum"],
+     "9ba54cabc85b6658d44ac4d44a7faa938e6978c86f836ca7933c7e671caa19a6"),
+], ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else v[:8])
+def test_lemma_payloads_pinned(tmp_path, capsys, argv, sha):
+    if argv[-1] == "--datum":
+        path = tmp_path / "datum.json"
+        path.write_text(json.dumps(_PSI_DATUM))
+        argv = argv + [str(path)]
+    takes_jobs = argv[0] == "verify" and argv[1] != "transfer"
+    for extra in ([["--jobs", "1"], ["--jobs", "2"]] if takes_jobs else [[]]):
+        code, out = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
 def test_scan_huge_denominator_bound(capsys):
     # no k/r with r <= 13 lies in (5/6, 5/6 + 1/(6*10**18)], so the two
     # intervals select the same records; int64 products of the bound wrapped

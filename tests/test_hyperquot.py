@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import gap_oracle, psi_oracle
+from mldlab import hyperquot
 from mldlab.hyperquot import (HyperquotientDatum,
                               MonomialSupport, PsiPartition, classify_type,
                               enumerate_N0, gap_value, identity5_check,
                               psi_classify, semi_invariant_check,
                               support_weight, two_monomials_verify)
+from mldlab.qarith import units
 
 
 def test_support_weight_examples():
@@ -300,6 +302,48 @@ def test_classify_type_patterns_roundtrip():
         matches = [m[0] for m in classify_type(r, a, e, all_matches=True)]
         assert tag in matches, (tag, r, a, e, matches)
         assert got_tag == matches[0]
+
+
+def _classify_by_search(r, a, e):
+    """Every (tag, x) match of the patterns, searching x over all units mod r."""
+    target = tuple(x % r for x in a) + (e % r,)
+    matches = []
+    for tag in hyperquot.TYPE_TAGS:
+        for x in ((None,) if tag in ("2a", "2b") else units(r)):
+            pat = hyperquot._pattern(tag, r, x)
+            if pat is not None and tuple(v % r for v in pat) == target:
+                matches.append((tag, x))
+                break
+    return matches
+
+
+def test_classify_type_matches_unit_search():
+    for r in range(2, 9):
+        for *a, e in itertools.product(range(r), repeat=5):
+            want = _classify_by_search(r, a, e)
+            assert classify_type(r, a, e, all_matches=True) == want
+            assert classify_type(r, a, e) == (want[0] if want else ("none", None))
+
+
+def test_classify_type_matches_unit_search_on_patterns(rng):
+    # larger r, on targets built from a random pattern and unit parameter
+    for _ in range(300):
+        r = rng.randrange(9, 201)
+        x = rng.choice(units(r))
+        pat = hyperquot._pattern(rng.choice(hyperquot.TYPE_TAGS), r, x)
+        if pat is None:
+            continue
+        *a, e = pat
+        assert classify_type(r, a, e, all_matches=True) == _classify_by_search(r, a, e)
+
+
+def test_classify_type_builds_each_pattern_once(monkeypatch):
+    calls = []
+    real = hyperquot._pattern
+    monkeypatch.setattr(hyperquot, "_pattern",
+                        lambda *args: calls.append(args) or real(*args))
+    assert classify_type(10007, (5, 7, 1, 0), 0, all_matches=True) == []
+    assert len(calls) <= 12
 
 
 def test_two_monomials_examples():

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mldlab.qarith import (consecutive_integers, count_nondivisible, format_rat, frac,
-                           fracsum_identity_failures, gcd_table, sorted_tuples, units,
-                           window_bounds)
+from mldlab.hyperquot import HyperquotientDatum, MonomialSupport
+from mldlab.qarith import (TermTuple, consecutive_integers, count_nondivisible, format_rat,
+                           frac, fracsum_identity_failures, gcd_table, sorted_tuples, units,
+                           window_bounds, window_eps)
 
 
 def test_frac_examples():
@@ -156,3 +157,36 @@ def test_sorted_tuples_over_no_values():
     for count in (1, 2, 5):
         assert sorted_tuples([], count).shape == (0, count)
         assert sorted_tuples(np.zeros(0, dtype=np.int64), count).shape == (0, count)
+
+
+_SUPPORT = MonomialSupport.of((1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("make", [
+    TermTuple, lambda r, a, e: HyperquotientDatum(r, a, e, _SUPPORT),
+], ids=["TermTuple", "HyperquotientDatum"])
+def test_action_validates_and_reduces(make):
+    with pytest.raises(ValueError, match="^r must be at least 2$"):
+        make(1, (0, 0, 0, 0), 0)
+    with pytest.raises(ValueError, match="^exactly four weights required$"):
+        make(5, (1, 2, 3), 0)
+    t = make(5, (7, -1, 5, 13), -2)
+    assert isinstance(t, TermTuple)
+    assert (t.r, t.a, t.e) == (5, (2, 4, 0, 3), 3)
+
+
+def test_gcd_failure_outcomes():
+    assert TermTuple(6, (1, 5, 1, 2), 4).gcd_failure() is None
+    assert TermTuple(6, (1, 2, 1, 2), 4).gcd_failure() == "gcd(a2, r) != 1"
+    assert TermTuple(6, (1, 5, 1, 3), 2).gcd_failure() == "gcd(a4, r) != gcd(e, r)"
+
+
+@pytest.mark.parametrize("eps", [0, Fraction(1, 6), Fraction(-1, 100)])
+def test_window_eps_rejects_outside_domain(eps):
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1/6\)$"):
+        window_eps(eps)
+
+
+def test_window_eps_returns_fraction():
+    got = window_eps("1/7")
+    assert got == Fraction(1, 7) and isinstance(got, Fraction)

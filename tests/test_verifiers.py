@@ -306,7 +306,7 @@ def _wrong_floor(real):
 @pytest.mark.parametrize("module, run", [
     (spectrum, lambda: spectrum._scan_r(13, spectrum.ScanConfig(
         dim=3, r_max=13, lo=Fraction(5, 6), hi=Fraction(1)))),
-    (verifiers, lambda: verifiers._fivefold_scan_r((13, Fraction(1, 100), "4a"))),
+    (verifiers, lambda: verifiers._fivefold_scan_r(13, Fraction(1, 100), "4a")),
 ], ids=["spectrum", "fivefold"])
 def test_batch_recheck_catches_a_wrong_floor(monkeypatch, module, run):
     # the floor-0 re-check over the kept rows is what guards the floor logic
@@ -333,7 +333,7 @@ def test_lift_check_survives_optimize():
         inspect.getsource(_wrong_floor),
         "verifiers.mld_argmin_batch = _wrong_floor(verifiers.mld_argmin_batch)",
         "try:",
-        "    verifiers._fivefold_scan_r((13, Fraction(1, 100), '4a'))",
+        "    verifiers._fivefold_scan_r(13, Fraction(1, 100), '4a')",
         "except VerificationError:",
         "    print('caught')",
     ])
