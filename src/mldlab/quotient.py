@@ -13,7 +13,8 @@ Multiplying through by r turns ld(k) into the integer
 
 so the whole computation runs in exact integer arithmetic.  One int64
 kernel, `ld_numerators`, evaluates it for a block of weight rows and a block
-of k, as one (d, N, K) block over the weight columns summed slab by slab.
+of k, building one (m, K) table of (v*k - 1) mod r over the m <= min(r, d*N)
+residues present: a scan level has thousands of rows but at most r residues.
 `mld_argmin_batch` is the one loop over chunks of k: it runs the kernel over
 the many rows of a scan, dropping rows that fall below a floor.  `mld` and
 `mld_argmin` are one-row batches, and `toroidal_ld` is a single kernel call;
@@ -67,22 +68,28 @@ def _check_int64_safe(r: int) -> None:
 def ld_numerators(r: int, W, ks) -> np.ndarray:
     """r * ld(k) for every row of the (N, d) weights ``W`` and every k in
     ``ks``, as an (N, len(ks)) int64 array, through the identity
-    (x mod r, with 0 read as r) = ((x - 1) mod r) + 1.  Callers pass
-    residues in [0, r), so products stay below r**2; r above 3e9 would wrap
-    int64 and raises OverflowError.
-
-    The work runs on the contiguous (d, N) weight columns: one (d, N, K)
-    block of products, reduced by adding its d slabs, never along the short
-    last axis.  A caller holding the columns passes their transpose, which
-    costs no copy."""
+    (x mod r, with 0 read as r) = ((x - 1) mod r) + 1.  Weights are reduced
+    mod r on entry; products stay below r**2 for k < r, and r above 3e9
+    would wrap int64 and raises OverflowError.  A length-r mask marks the m
+    residues present, the (m, K) table of (v*k - 1) mod r covers those
+    alone, and each result row is d plus its d table rows, found through a
+    position array.  A caller holding the (d, N) columns passes their
+    transpose, which costs no copy."""
     _check_int64_safe(r)
-    C = np.asarray(W, dtype=np.int64).T
-    P = C[:, :, None] * np.asarray(ks, dtype=np.int64)
-    P -= 1
-    P %= r
-    total = P[0] + C.shape[0]
-    for slab in P[1:]:
-        total += slab
+    C = np.asarray(W, dtype=np.int64).T % r
+    seen = np.zeros(r, dtype=bool)
+    seen[C] = True
+    residues = seen.nonzero()[0]
+    table = residues[:, None] * np.asarray(ks, dtype=np.int64)
+    table -= 1
+    table %= r
+    row_of = np.empty(r, dtype=np.intp)
+    row_of[residues] = np.arange(residues.size)
+    rows = row_of[C]
+    total = table.take(rows[0], axis=0)
+    total += C.shape[0]
+    for col in rows[1:]:
+        total += table.take(col, axis=0)
     return total
 
 

@@ -296,7 +296,8 @@ def lift_to_fivefold(t: TermTuple, eps) -> CyclicQuotient:
         raise ValueError(f"tuple is not case 2 for eps={eps} (got {rep.case_tag})")
     r = t.r
     X = CyclicQuotient(r, t.a + ((r - t.e) % r,))
-    k1 = min(k for k in rep.gamma if t.e * k % r != 0)
+    # Gamma ascends in k, so its first member with r not dividing e*k is the least
+    k1 = next(k for k in rep.gamma if t.e * k % r)
     expected = 1 + Fraction(k1, r)
     got = mld(X)
     if got != expected:

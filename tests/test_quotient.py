@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,65 @@ def test_ld_numerators_against_oracle(rng):
     got = ld_numerators(r, [row], np.arange(1, r))
     assert got.shape == (1, r - 1)
     assert got[0].tolist() == [r * ld_oracle(r, row, k) for k in range(1, r)]
+
+
+def assert_kernel_matches_oracle(r, W, ks):
+    W = np.asarray(W, dtype=np.int64).reshape(len(W), -1)
+    got = ld_numerators(r, W, ks)
+    assert got.shape == (len(W), len(ks)) and got.dtype == np.int64
+    assert got.tolist() == [[r * ld_oracle(r, row, k) for k in ks] for row in W.tolist()]
+
+
+def test_ld_numerators_residue_blocks(rng):
+    r = 11
+    ks = [1, 2, 5, 10]
+    # rows repeating residues within and across rows, with residue 0
+    assert_kernel_matches_oracle(r, [[3, 3, 0], [0, 3, 7], [7, 7, 7], [3, 0, 0]], ks)
+    # every residue of [0, r) occurs, so the table holds all r of them
+    W = [[(3 * i + j) % r for j in range(3)] for i in range(r)]
+    assert len({a for row in W for a in row}) == r
+    assert_kernel_matches_oracle(r, W, ks)
+    # far fewer residues than entries
+    W = [[rng.choice((2, 9)) for _ in range(4)] for _ in range(50)]
+    assert_kernel_matches_oracle(r, W, ks)
+    # k = 0 reads every summand as 1; duplicates and k >= r are plain k
+    assert_kernel_matches_oracle(r, [[1, 4, 0], [6, 6, 2]], [0, 3, 3, 0, r, r + 4, 2 * r - 1])
+    # an empty row block, and an empty k block
+    for W, k in (([], ks), ([[1, 2, 3]], [])):
+        got = ld_numerators(r, np.asarray(W, dtype=np.int64).reshape(len(W), 3), k)
+        assert got.shape == (len(W), len(k)) and got.dtype == np.int64
+    # r = 1: every residue is 0 and every summand is 1
+    assert_kernel_matches_oracle(1, [[0, 0], [5, -2]], [0, 1, 2])
+    # one row over every k at a large prime r
+    r = 5701
+    assert_kernel_matches_oracle(r, [[rng.randrange(r) for _ in range(5)]], range(1, r))
+
+
+def test_ld_numerators_reduces_weights_mod_r():
+    # out-of-range weights read as their residues, exactly as CyclicQuotient
+    # reduces them; 2**62 + 3 once wrapped int64 in the product with k
+    assert ld_numerators(7, [[2**62 + 3]], [3]).tolist() == [[7]]
+    for r in (7, 13, 101):
+        raw = (-4, r + 3, 2**62 + 3)
+        reduced = CyclicQuotient(r, raw).weights
+        assert reduced == (r - 4, 3, (2**62 + 3) % r)
+        ks = range(r + 2)
+        got = ld_numerators(r, [raw], ks)
+        assert got.tolist() == [[r * ld_oracle(r, reduced, k) for k in ks]]
+
+
+def test_ld_numerators_memory_below_the_product_block(rng):
+    r, n, k, d = 97, 4096, 8, 5
+    W = np.asarray([[rng.randrange(r) for _ in range(d)] for _ in range(n)], dtype=np.int64)
+    ks = np.arange(1, k + 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = ld_numerators(r, W, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (n, k)
+    assert peak < d * n * k * 8  # the (d, N, K) int64 block of products alone
 
 
 def test_ld_numerators_int64_limit():
