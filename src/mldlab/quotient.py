@@ -12,13 +12,10 @@ Multiplying through by r turns ld(k) into the integer
     r * ld(k) = sum_i ((a_i*k) mod r, with 0 read as r),
 
 so the whole computation runs in exact integer arithmetic.  One int64
-kernel, `ld_numerators`, evaluates it for a block of weight rows and a block
-of k, building one (m, K) table of (v*k - 1) mod r over the m <= min(r, d*N)
-residues present: a scan level has thousands of rows but at most r residues.
-`mld_argmin_batch` is the one loop over chunks of k: it runs the kernel over
-the many rows of a scan, dropping rows that fall below a floor.  `mld` and
-`mld_argmin` are one-row batches, and `toroidal_ld` is a single kernel call;
-the transfer scan in `verifiers` calls the kernel too.
+kernel, `_ld_table_sum`, evaluates it for a block of k and a block of rows
+given as positions into their sorted distinct weights, through one table of
+(v*k - 1) mod r: a scan level has thousands of rows but at most r residues.
+`ld_numerators` and `mld_argmin_batch`, the one loop over chunks of k, call it.
 """
 
 from __future__ import annotations
@@ -65,32 +62,37 @@ def _check_int64_safe(r: int) -> None:
         raise OverflowError(f"r = {r} exceeds the int64-safe limit {_INT64_R_LIMIT}")
 
 
-def ld_numerators(r: int, W, ks) -> np.ndarray:
-    """r * ld(k) for every row of the (N, d) weights ``W`` and every k in
-    ``ks``, as an (N, len(ks)) int64 array, through the identity
-    (x mod r, with 0 read as r) = ((x - 1) mod r) + 1.  Weights are reduced
-    mod r on entry; products stay below r**2 for k < r, and r above 3e9
-    would wrap int64 and raises OverflowError.  A length-r mask marks the m
-    residues present, the (m, K) table of (v*k - 1) mod r covers those
-    alone, and each result row is d plus its d table rows, found through a
-    position array.  A caller holding the (d, N) columns passes their
-    transpose, which costs no copy."""
-    _check_int64_safe(r)
-    C = np.asarray(W, dtype=np.int64).T % r
-    seen = np.zeros(r, dtype=bool)
-    seen[C] = True
-    residues = seen.nonzero()[0]
-    table = residues[:, None] * np.asarray(ks, dtype=np.int64)
+def _ld_table_sum(r: int, values: np.ndarray, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """r * ld(k), (N, K) int64, for each column of the (d, N) positions
+    ``rows`` into the distinct weights ``values`` and each k in ``ks``: d plus
+    d gathered rows of the (m, K) table of (v*k - 1) mod r, as (x mod r, with
+    0 read as r) = ((x - 1) mod r) + 1; v is reduced mod r first."""
+    table = (values % r)[:, None] * ks
     table -= 1
     table %= r
-    row_of = np.empty(r, dtype=np.intp)
-    row_of[residues] = np.arange(residues.size)
-    rows = row_of[C]
     total = table.take(rows[0], axis=0)
-    total += C.shape[0]
+    total += rows.shape[0]
     for col in rows[1:]:
         total += table.take(col, axis=0)
     return total
+
+
+def _distinct(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of C and, shaped as C, each one's index: one sort."""
+    s = np.sort(C, axis=None)
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = True
+    np.less(s[:-1], s[1:], out=new[1:])  # sorted: the first of each run
+    values = s[new]
+    return values, values.searchsorted(C)
+
+
+def ld_numerators(r: int, W, ks) -> np.ndarray:
+    """r * ld(k), (N, len(ks)) int64, for each row of the (N, d) integer
+    weights ``W`` and each k in ``ks``; r above 3e9 raises OverflowError."""
+    _check_int64_safe(r)
+    C = np.asarray(W, dtype=np.int64).T
+    return _ld_table_sum(r, *_distinct(C), np.asarray(ks, dtype=np.int64))
 
 
 def toroidal_weight(X: CyclicQuotient, k: int) -> tuple[Fraction, ...]:
@@ -144,7 +146,7 @@ def index_gcd(X: CyclicQuotient) -> int:
 def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized mld over many weight tuples sharing one denominator r.
 
-    ``weights_matrix`` is an (N, d) integer array of residues mod r.  Returns
+    ``weights_matrix`` is an (N, d) integer array, read mod r.  Returns
     ``(numer, argk)`` int64 arrays: the mld of row i is numer[i]/r, first
     attained at k = argk[i].  A row whose running minimum of r*ld(k) drops
     below its ``floor`` (a scalar or one integer per row) leaves at once: its
@@ -154,17 +156,19 @@ def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.nd
     when strictly smaller, so argk is the smallest minimizing k.
     """
     _check_int64_safe(r)
-    W = np.asarray(weights_matrix, dtype=np.int64) % r
-    n, d = W.shape
+    C = np.asarray(weights_matrix, dtype=np.int64).T
+    d, n = C.shape
     if r == 1:
         return np.full(n, d, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    C = np.ascontiguousarray(W.T)
+    values, rows = _distinct(C)  # one sort per batch: the rows left only shrink
     best = np.full(n, d * r, dtype=np.int64)  # ld(k) <= d for every k
     argk = np.full(n, 1, dtype=np.int64)
     k, live = 1, np.arange(n)
     while k < r and live.size:
         ks = np.arange(k, min(k + max(1, _K_CHUNK // live.size), r), dtype=np.int64)
-        s = ld_numerators(r, C[:, live].T, ks)
+        R, used = rows[:, live], np.zeros(values.size, dtype=bool)
+        used[R] = True  # the table covers the weights of the rows left only
+        s = _ld_table_sum(r, values[used], (used.cumsum() - 1)[R], ks)
         i = s.argmin(axis=1)  # the first minimum of each row in the chunk
         s = s[np.arange(live.size), i]
         better = s < best[live]  # strict: earlier chunks keep their ties

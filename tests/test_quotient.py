@@ -167,20 +167,44 @@ def test_ld_numerators_reduces_weights_mod_r():
         ks = range(r + 2)
         got = ld_numerators(r, [raw], ks)
         assert got.tolist() == [[r * ld_oracle(r, reduced, k) for k in ks]]
+        # the batch leaves the reduction to the kernel
+        numer, argk = mld_argmin_batch(r, [raw])
+        assert (Fraction(int(numer[0]), r), int(argk[0])) == (mld_oracle(r, reduced),
+                                                              argmin_oracle(r, reduced)[0])
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_ld_numerators_memory_below_the_product_block(rng):
     r, n, k, d = 97, 4096, 8, 5
     W = np.asarray([[rng.randrange(r) for _ in range(d)] for _ in range(n)], dtype=np.int64)
     ks = np.arange(1, k + 1, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        got = ld_numerators(r, W, ks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: ld_numerators(r, W, ks))
     assert got.shape == (n, k)
     assert peak < d * n * k * 8  # the (d, N, K) int64 block of products alone
+
+
+def test_kernel_memory_does_not_grow_with_r():
+    # one k needs no array of length r; the smallest r comes first, so a
+    # kernel that allocates by r fails there, long before r = 2e9
+    for r in (10_007, 1_000_003, 2_000_000_011):
+        X = CyclicQuotient(r, (1, r - 2, 12345, 7))
+        got, peak = traced_peak(lambda: toroidal_ld(X, r - 5))
+        assert got == ld_oracle(r, X.weights, r - 5)
+        assert peak < 32 * 1024
+    # a one-row mld steps through chunks of k and holds one chunk's arrays:
+    # the (d, K) table, the (1, K) total, one gathered row and the ks
+    r, d = 1_000_003, 5
+    X = CyclicQuotient(r, (1, 2, 3, 4, r - 10))
+    got, peak = traced_peak(lambda: mld(X))
+    assert got == 1  # k = 1 gives (1 + 2 + 3 + 4 + r - 10) / r
+    assert peak < 8 * quotient._K_CHUNK * (d + 5)
 
 
 def test_ld_numerators_int64_limit():
