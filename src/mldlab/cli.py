@@ -144,7 +144,6 @@ def _scan_config(args) -> ScanConfig:
 
 def _cmd_scan(args) -> int:
     cfg = _scan_config(args)
-    lines = []
     if args.mode == "records":
         records = list(spectrum.scan(cfg))
         if args.format == "csv":

@@ -74,20 +74,29 @@ def gcd_table(r: int) -> np.ndarray:
     return np.gcd(np.arange(r, dtype=np.int64), r)
 
 
+def ragged_ranges(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Each row i in order extended by its integers lo[i] <= v < hi[i]:
+    (owner, value) int64 arrays of equal length, owner holding i.  A row with
+    hi[i] <= lo[i] contributes nothing; hi may be a scalar."""
+    lo = np.asarray(lo, dtype=np.int64)
+    span = np.maximum(np.asarray(hi, dtype=np.int64) - lo, 0)
+    owner = np.repeat(np.arange(lo.size, dtype=np.int64), span)
+    value = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(span) - span - lo, span)
+    return owner, value
+
+
 def sorted_tuples(values, count: int) -> np.ndarray:
     """The non-decreasing ``count``-tuples over the ascending ``values``, in
     lexicographic order, as an (N, count) int64 array; one empty row when
     count is 0.
 
     Built column by column on index arrays: a row whose last index is i is
-    repeated once per index in [i, len(values)), so no Python tuple is made."""
+    extended by every index in [i, len(values)), so no Python tuple is made."""
     vals = np.asarray(values, dtype=np.int64)
     idx = np.zeros((1, 0), dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)
     for _ in range(count):
-        span = len(vals) - last
-        parent = np.repeat(np.arange(len(last)), span)
-        last = np.arange(len(parent)) - np.repeat(np.cumsum(span) - span - last, span)
+        parent, last = ragged_ranges(last, len(vals))
         idx = np.column_stack([idx[parent], last])
     return vals[idx]
 

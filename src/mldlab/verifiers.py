@@ -9,10 +9,11 @@ Four families of checks live here:
   fivefold quotient (`transfer_classify` / `lift_to_fivefold`), and
 * desk-scale fivefold candidate scans (`fivefold_scan`, `thm35_hypotheses`).
 
-The exhaustive scans enumerate with numpy in staged passes (the identity at
-j = 1 kills almost every tuple), but surviving terminal tuples are re-checked
-with plain integer arithmetic, fivefold candidates by an mld batch with no
-floor, and reported results carry exact rationals only.
+The exhaustive scans build numpy rows, each sorted tuple extended by the range
+of last coordinates its window allows (`qarith.ragged_ranges`), and filter them
+in staged passes; surviving terminal tuples are re-checked with plain integer
+arithmetic, fivefold candidates by an mld batch with no floor, and reported
+results carry exact rationals only.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import quotient
 from .pool import parallel_map
-from .qarith import (TermTuple, VerificationError, first_fracsum_identity_failure,
-                     gcd_table, sorted_tuples, units, window_bounds, window_eps)
+from .qarith import (TermTuple, VerificationError, first_fracsum_identity_failure, gcd_table,
+                     ragged_ranges, sorted_tuples, units, window_bounds, window_eps)
 from .quotient import CyclicQuotient, ld_numerators, mld, mld_argmin_batch
 
 
@@ -107,16 +108,12 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     with a shrinking mask; survivors get exact scalar re-checks.
     """
     triples = sorted_tuples(units(r), 3)
-    gcds = gcd_table(r)
-    a4 = np.arange(r, dtype=np.int64)
     s3 = triples.sum(axis=1)
-    # j = 1: e is forced, and must be a residue with gcd(e, r) = gcd(a4, r)
-    e = s3[:, None] + a4[None, :] - r - 1
-    valid = (e >= 0) & (e < r)
-    e_clip = np.where(valid, e, 0)
-    valid &= gcds[e_clip] == gcds[a4][None, :]
-    ti, ai = np.nonzero(valid)
-    cols = np.column_stack([triples[ti], a4[ai], e[ti, ai]])
+    # j = 1: a4 ranges over the values that keep e a residue; gcd(e, r) = gcd(a4, r)
+    ti, a4 = ragged_ranges(np.maximum(0, r + 1 - s3), np.minimum(r, 2 * r + 1 - s3))
+    e = s3[ti] + a4 - r - 1
+    gcds = gcd_table(r)
+    cols = np.column_stack([triples[ti], a4, e])[gcds[e] == gcds[a4]]
     for j in range(2, r):
         if not len(cols):
             return []
@@ -143,18 +140,12 @@ def _fourfold_window_rows(r: int) -> np.ndarray:
     the gap window 11r/6 < s < 2r (alpha_1 in (2 - 1/6, 2)), in lexicographic
     order, as an (N, 4) int64 array.
 
-    Each slab fixes a and joins the pairs (a, b) with the pairs c <= d that
-    have c >= b, so no temporary holds more than r**3 / 2 entries."""
-    x, y = sorted_tuples(np.arange(1, r), 2).T  # the pairs x <= y over [1, r-1], in lex order
-    slabs = [np.zeros((0, 4), dtype=np.int64)]
-    for a in range(1, (r + 1) // 2):  # s >= 4a must stay below 2r
-        b = np.arange(a, r, dtype=np.int64)
-        start = np.searchsorted(x, a)
-        c, d = x[start:], y[start:]
-        s = a + b[:, None] + (c + d)
-        i, j = np.nonzero((b[:, None] <= c) & (11 * r < 6 * s) & (s < 2 * r))
-        slabs.append(np.column_stack([np.full(i.size, a), b[i], c[j], d[j]]))
-    return np.vstack(slabs)
+    Each triple a <= b <= c (sum s3) gets the d in [max(c, 11r // 6 + 1 - s3),
+    min(r, 2r - s3)), so memory follows the r**3 / 6 triples and the rows kept."""
+    abc = sorted_tuples(np.arange(1, r), 3)
+    s3 = abc.sum(axis=1)
+    ti, d = ragged_ranges(np.maximum(abc[:, 2], 11 * r // 6 + 1 - s3), np.minimum(r, 2 * r - s3))
+    return np.column_stack([abc[ti], d])
 
 
 def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
@@ -320,9 +311,9 @@ def _fivefold_scan_r(r: int, eps, condition: str) -> list[FivefoldCandidate]:
     first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + eps, 2)
     n, step, rows, numers = u.size ** 3 * r, quotient._K_CHUNK, [], []
     for start in range(0, n, step):  # blocks of the lex-ordered rows keep memory bounded
-        index, a4 = np.divmod(np.arange(start, min(start + step, n)), r)
-        index, a3 = np.divmod(index, u.size)
-        a1, a2, a3 = u[index // u.size], u[index % u.size], u[a3]
+        i1, i2, i3, a4 = np.unravel_index(np.arange(start, min(start + step, n)),
+                                          (u.size, u.size, u.size, r))
+        a1, a2, a3 = u[i1], u[i2], u[i3]
         a5 = {"4a": -(a1 + a2), "4b": -2 * a4, "4c": -2 * a1}[condition] % r
         keep = gcds[a4] == gcds[a5]
         if condition == "4c":

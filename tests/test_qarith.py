@@ -7,8 +7,8 @@ import pytest
 
 from mldlab.hyperquot import HyperquotientDatum, MonomialSupport
 from mldlab.qarith import (TermTuple, consecutive_integers, count_nondivisible, format_rat,
-                           frac, fracsum_identity_failures, gcd_table, sorted_tuples, units,
-                           window_bounds, window_eps)
+                           frac, fracsum_identity_failures, gcd_table, ragged_ranges,
+                           sorted_tuples, units, window_bounds, window_eps)
 
 
 def test_frac_examples():
@@ -131,6 +131,29 @@ def test_residue_helpers():
     assert gcd_table(12).tolist() == [12, 1, 2, 3, 4, 1, 6, 1, 4, 3, 2, 1]
     assert gcd_table(12).dtype == np.int64
     assert format_rat(Fraction(-6, 4)) == "-3/2" and format_rat(Fraction(4)) == "4"
+
+
+def _assert_ragged_ranges(lo, hi):
+    owner, value = ragged_ranges(lo, hi)
+    his = [hi] * len(lo) if np.ndim(hi) == 0 else list(hi)
+    want = [(i, v) for i, (a, b) in enumerate(zip(lo, his)) for v in range(a, b)]
+    assert owner.dtype == value.dtype == np.int64 and owner.shape == value.shape
+    assert list(zip(owner.tolist(), value.tolist())) == want
+
+
+def test_ragged_ranges_against_python_ranges(rng):
+    for _ in range(200):
+        n = rng.randrange(12)
+        lo = [rng.randint(-6, 6) for _ in range(n)]
+        # spans run from inverted through empty to a few values, some negative
+        _assert_ragged_ranges(lo, [a + rng.randint(-3, 5) for a in lo])
+        _assert_ragged_ranges(lo, rng.randint(-4, 8))  # one scalar hi for every row
+
+
+def test_ragged_ranges_over_no_rows():
+    _assert_ragged_ranges([], [])
+    _assert_ragged_ranges([], 5)
+    _assert_ragged_ranges([3, 7], 2)  # every row inverted
 
 
 def _assert_sorted_tuples(values, count):

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import transfer_oracle
 from mldlab import quotient, spectrum, verifiers
-from mldlab.qarith import VerificationError
+from mldlab.qarith import VerificationError, units
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
@@ -73,6 +73,31 @@ def test_terminal_bruteforce_small():
     assert terminal_bruteforce(12) == []
 
 
+def test_terminal_scan_keeps_every_survivor(monkeypatch):
+    # with the conclusion forced false the scan returns every tuple its
+    # stages keep; they must be, in order, exactly the hypothesis-satisfying
+    # tuples of a scalar enumeration over every a_4 and every e
+    monkeypatch.setattr(verifiers, "_terminal_conclusion", lambda t: False)
+    total = 0
+    for r in range(2, 17):
+        want = [t for a in itertools.combinations_with_replacement(units(r), 3)
+                for a4 in range(r) for e in range(r)
+                if terminal_hypothesis(t := TermTuple(r, a + (a4,), e)).ok]
+        assert verifiers._terminal_scan_r(r) == want, r
+        total += len(want)
+    assert total == 1235
+
+
+def test_terminal_scan_recheck_is_wired(monkeypatch):
+    # every survivor of the numpy stages goes through the scalar hypothesis
+    monkeypatch.setattr(verifiers, "_terminal_conclusion", lambda t: False)
+    assert len(verifiers._terminal_scan_r(5)) == 27
+    monkeypatch.setattr(verifiers, "terminal_hypothesis",
+                        lambda t: verifiers.HypothesisCheck(False, "rejected"))
+    with pytest.raises(VerificationError):
+        verifiers._terminal_scan_r(5)
+
+
 def test_terminal_bruteforce_structured_family():
     for r in range(2, 31):
         for a in range(1, r):
@@ -109,8 +134,9 @@ def test_fourfold_oracle_agreement():
 
 
 def test_fourfold_window_rows_match_combinations():
-    # the slabbed pair join yields exactly the gap-window rows of the full
-    # sorted enumeration, in the same (lexicographic) order
+    # the sorted triples extended by their ragged d-ranges yield exactly the
+    # gap-window rows of the full sorted enumeration, in the same
+    # (lexicographic) order
     for r in range(2, 26):
         want = [t for t in itertools.combinations_with_replacement(range(1, r), 4)
                 if 11 * r < 6 * sum(t) < 12 * r]
@@ -317,8 +343,9 @@ def test_batch_recheck_catches_a_wrong_floor(monkeypatch, module, run):
 
 
 def test_lift_check_survives_optimize():
-    # the mld re-check in lift_to_fivefold and the batch re-check of the
-    # fivefold scan must not vanish under python -O
+    # the mld re-check in lift_to_fivefold, the batch re-check of the
+    # fivefold scan and the scalar re-check of the terminal scan must not
+    # vanish under python -O
     script = "\n".join([
         "import numpy as np",
         "from fractions import Fraction",
@@ -336,6 +363,11 @@ def test_lift_check_survives_optimize():
         "    verifiers._fivefold_scan_r(13, Fraction(1, 100), '4a')",
         "except VerificationError:",
         "    print('caught')",
+        "verifiers.terminal_hypothesis = lambda t: verifiers.HypothesisCheck(False)",
+        "try:",
+        "    verifiers._terminal_scan_r(5)",
+        "except VerificationError:",
+        "    print('caught')",
     ])
     src = str(Path(verifiers.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -343,7 +375,7 @@ def test_lift_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["caught", "caught"]
+    assert proc.stdout.split() == ["caught"] * 3
 
 
 def test_fivefold_scan_4b_congruence():
