@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import transfer_oracle
+from conftest import ld_oracle, mld_oracle, transfer_oracle
 from mldlab import quotient, spectrum, verifiers
-from mldlab.qarith import VerificationError, units
+from mldlab.qarith import VerificationError, sorted_tuples, units
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
@@ -52,6 +52,43 @@ def test_terminal_conclusion_examples():
     assert terminal_conclusion(TermTuple(4, (1, 1, 3, 2), 2))
     with pytest.raises(ValueError):
         terminal_conclusion(TermTuple(5, (1, 1, 1, 1), 0))
+
+
+def _pairs_off(vals, r):
+    """Whether the residues split into pairs each summing to 0 mod r, by
+    trying every perfect matching of the indices."""
+    if not vals:
+        return True
+    return any((vals[0] + vals[i]) % r == 0
+               and _pairs_off(vals[1:i] + vals[i + 1:], r) for i in range(1, len(vals)))
+
+
+def _paper_conclusion(t):
+    """The terminal lemma's two-case conclusion, as the paper states it."""
+    r, (a1, a2, a3, a4), e = t.r, t.a, t.e
+    if math.gcd(e, r) > 1:
+        return a4 == e and any(
+            x == 1 and (y + z) % r == 0 for x, y, z in itertools.permutations((a1, a2, a3)))
+    return _pairs_off([a1, a2, a3, a4, -e % r, -1 % r], r)
+
+
+def test_terminal_conclusion_matches_paper_statement():
+    # under the gcd sides the library's single zero-sum matching says what
+    # the paper's two cases say, on every tuple with r <= 12
+    total = false = 0
+    for r in range(2, 13):
+        us = units(r)
+        for a1, a2, a3 in itertools.product(us, repeat=3):
+            for a4 in range(r):
+                for e in range(r):
+                    if math.gcd(a4, r) != math.gcd(e, r):
+                        continue
+                    t = TermTuple(r, (a1, a2, a3, a4), e)
+                    want = _paper_conclusion(t)
+                    assert verifiers._terminal_conclusion(t) == want, t
+                    total += 1
+                    false += not want
+    assert (total, false) == (124610, 122189)
 
 
 def test_terminal_identity_reassertable(rng):
@@ -131,6 +168,21 @@ def test_fourfold_oracle_agreement():
                 survivors.append(b)
         assert survivors == []
     assert fourfold_gap_scan(14) == []
+
+
+def test_fourfold_scan_keeps_every_survivor(monkeypatch):
+    # on every sorted 4-tuple, not only the gap window, the scan keeps
+    # exactly the rows whose mld is attained at k = 1, in order
+    monkeypatch.setattr(verifiers, "_fourfold_window_rows",
+                        lambda r: sorted_tuples(np.arange(1, r), 4))
+    total = 0
+    for r in range(2, 13):
+        want = [tuple(Fraction(x, r) for x in row)
+                for row in itertools.combinations_with_replacement(range(1, r), 4)
+                if mld_oracle(r, row) == ld_oracle(r, row, 1)]
+        assert verifiers._fourfold_scan_r(r) == want, r
+        total += len(want)
+    assert total == 720
 
 
 def test_fourfold_window_rows_match_combinations():
