@@ -143,6 +143,14 @@ def _scan_config(args) -> ScanConfig:
 
 
 def _cmd_scan(args) -> int:
+    # a flag the chosen mode would ignore is a usage error, not a silent no-op
+    if args.format == "csv" and args.mode != "records":
+        raise ValueError(f"--format csv needs --mode records, not --mode {args.mode}")
+    if args.mode != "accum" and (args.target is not None or args.windows is not None):
+        raise ValueError(f"--target and --windows need --mode accum, not --mode {args.mode}")
+    if args.mode == "accum" and (args.interval is not None or args.open_left or args.closed_right):
+        raise ValueError("--mode accum scans (target, target + w]; "
+                         "it takes no --interval, --open-left or --closed-right")
     cfg = _scan_config(args)
     if args.mode == "records":
         records = list(spectrum.scan(cfg))

@@ -10,8 +10,10 @@ cell the floor sum is constant, so membership is decided exactly.
 `Box`, `BoxUnion`, `SystemResult` and witnesses hold `fractions.Fraction`s.
 Refinement runs in Python ints on one scale L per system, the lcm of the
 moduli n and of the initial endpoint denominators: v is held as v*L, so
-floor(n*v) is n*(v*L) // L.  There is no floating point anywhere, so an
-"empty" verdict is a proof of emptiness for the given system.
+floor(n*v) is n*(v*L) // L; one fold (`_fold`) applies every constraint
+list, from a single constraint to a whole system.  There is no floating
+point anywhere, so an "empty" verdict is a proof of emptiness for the given
+system.
 """
 
 from __future__ import annotations
@@ -164,15 +166,14 @@ class BoxUnion:
         return any(b.contains(point) for b in self.boxes)
 
     def witness(self):
-        """A rational member point (greedy corner of the first box), or None."""
-        for b in self.boxes:
-            if self.ordered_simplex:
-                corner = b.ordered_corner()
-                if corner is not None:
-                    return corner
-            else:
-                return tuple(lo for lo, _ in b.intervals)
-        return None
+        """A rational member point (greedy corner of the first box), or None.
+
+        Every kept box is nonempty and, on the simplex, has a corner."""
+        if not self.boxes:
+            return None
+        first = self.boxes[0]
+        return first.ordered_corner() if self.ordered_simplex else tuple(
+            lo for lo, _ in first.intervals)
 
 
 def unit_cube(ordered_simplex: bool = True) -> BoxUnion:
@@ -229,6 +230,20 @@ def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
     return out
 
 
+def _fold(U: BoxUnion, pairs, limit: int | None):
+    """(scale, boxes, counts): U on one integer scale for every modulus of
+    `pairs`, refined by each (n, c) in order until no box is left; counts
+    holds the box count after each applied pair."""
+    scale, boxes = _on_scale(U, [n for n, _ in pairs])
+    counts: list[int] = []
+    for n, c in pairs:
+        boxes = _refine(boxes, scale, FloorConstraint(n, c), U.ordered_simplex, limit)
+        counts.append(len(boxes))
+        if not boxes:
+            break
+    return scale, boxes, counts
+
+
 def constraint_refine(U: BoxUnion, fc: FloorConstraint, limit: int | None = None) -> BoxUnion:
     """U intersected with the constraint region, as a new BoxUnion.
 
@@ -236,9 +251,8 @@ def constraint_refine(U: BoxUnion, fc: FloorConstraint, limit: int | None = None
     sub-boxes with floor sum equal to the target survive.  Raises
     BoxLimitExceeded when the output would exceed the box budget.
     """
-    scale, boxes = _on_scale(U, (fc.n,))
-    return _union(scale, _refine(boxes, scale, fc, U.ordered_simplex, limit),
-                  U.ordered_simplex)
+    scale, boxes, _ = _fold(U, ((fc.n, fc.c),), limit)
+    return _union(scale, boxes, U.ordered_simplex)
 
 
 @dataclass(frozen=True)
@@ -278,25 +292,16 @@ def system_empty(initial: BoxUnion, G: GammaSet, limit: int | None = None) -> Sy
     witness is re-checked exactly against the initial region and every
     applied constraint; a mismatch raises VerificationError.
     """
-    scale, boxes = _on_scale(initial, [n for n, _ in G])
-    applied: list[tuple[int, int]] = []
-    counts: list[int] = []
-    for n, c in G:
-        boxes = _refine(boxes, scale, FloorConstraint(n, c), initial.ordered_simplex, limit)
-        applied.append((n, c))
-        counts.append(len(boxes))
-        if not boxes:
-            break
+    scale, boxes, counts = _fold(initial, G.pairs, limit)
+    applied = G.pairs[:len(counts)]
     if not boxes:
-        return SystemResult("empty", tuple(applied), tuple(counts), None,
-                            len(initial.boxes))
+        return SystemResult("empty", applied, tuple(counts), None, len(initial.boxes))
     witness = _union(scale, boxes[:1], initial.ordered_simplex).witness()
     if not (witness is not None and initial.contains(witness) and all(
             sum(math.floor(n * v) for v in witness) == n - 1 - c
             for n, c in applied)):
-        raise VerificationError(("witness", witness, tuple(applied)))
-    return SystemResult("witness", tuple(applied), tuple(counts),
-                        witness, len(initial.boxes))
+        raise VerificationError(("witness", witness, applied))
+    return SystemResult("witness", applied, tuple(counts), witness, len(initial.boxes))
 
 
 def gamma_of_interval(a, b, n_max: int) -> GammaSet:
@@ -360,10 +365,9 @@ def boxunion_equal(A: BoxUnion, B: BoxUnion) -> bool:
 
 def verify_vl_step(l: int, limit: int | None = None) -> bool:
     """Check that refining the level-l box by its three constraints gives level l+1."""
-    region = vl_box(l)
-    for n, c in ((6 * l + 4, l + 1), (6 * l + 5, l + 1), (6 * l + 8, l + 2)):
-        region = constraint_refine(region, FloorConstraint(n, c), limit)
-    return boxunion_equal(region, vl_box(l + 1))
+    pairs = ((6 * l + 4, l + 1), (6 * l + 5, l + 1), (6 * l + 8, l + 2))
+    scale, boxes, _ = _fold(vl_box(l), pairs, limit)
+    return boxunion_equal(_union(scale, boxes, True), vl_box(l + 1))
 
 
 def shared_case_constraints(k: int) -> GammaSet:
@@ -400,10 +404,7 @@ def case_boxes(k: int) -> BoxUnion:
 
 def case_initial_region(k: int, limit: int | None = None) -> BoxUnion:
     """The four-box union for level k, refined by the ten shared constraints."""
-    G = shared_case_constraints(k)
-    scale, boxes = _on_scale(case_boxes(k), [n for n, _ in G])
-    for n, c in G:
-        boxes = _refine(boxes, scale, FloorConstraint(n, c), True, limit)
+    scale, boxes, _ = _fold(case_boxes(k), shared_case_constraints(k).pairs, limit)
     return _union(scale, boxes, True)
 
 

@@ -3,7 +3,8 @@
 Four families of checks live here:
 
 * the four-variable congruence identity behind the terminal classification
-  (`terminal_hypothesis` / `terminal_conclusion` / `terminal_bruteforce`),
+  (`terminal_hypothesis` / `terminal_conclusion` / `terminal_bruteforce`;
+  the conclusion is one zero-sum matching of a_1, a_2, a_3, a_4, -e, -1),
 * the fourfold discrepancy-gap scan (`fourfold_gap_scan`),
 * the transfer classifier turning four weights plus a character into a
   fivefold quotient (`transfer_classify` / `lift_to_fivefold`), and
@@ -76,9 +77,11 @@ def _zero_sum_matching(vals, r) -> bool:
 def terminal_conclusion(t: TermTuple) -> bool:
     """The classification the identity forces; requires terminal_hypothesis(t).ok.
 
-    gcd(e, r) > 1: a_4 = e and {a_1, a_2, a_3} splits as a unit 1 plus a pair
-    summing to 0 mod r.  gcd(e, r) = 1: appending -e and -1, the six residues
-    pair into three zero sums mod r.
+    The six residues a_1, a_2, a_3, a_4, -e, -1 pair into three zero sums
+    mod r.  When gcd(e, r) > 1 this is the form a_4 = e, {a_1, a_2, a_3} =
+    {1, x, -x}: a_1..a_3 and -1 are units, so a_4 and -e are the only
+    non-units and pair with each other; -1 then pairs with a unit a_i = 1,
+    and the last two sum to 0.
     """
     if not terminal_hypothesis(t).ok:
         raise ValueError("tuple does not satisfy the terminal hypothesis")
@@ -86,16 +89,7 @@ def terminal_conclusion(t: TermTuple) -> bool:
 
 
 def _terminal_conclusion(t: TermTuple) -> bool:
-    r = t.r
-    if math.gcd(t.e, r) > 1:
-        if (t.a[3] - t.e) % r != 0:
-            return False
-        for i, j, k in itertools.permutations(range(3)):
-            if t.a[i] % r == 1 % r and (t.a[j] + t.a[k]) % r == 0:
-                return True
-        return False
-    vals = list(t.a) + [(-t.e) % r, (-1) % r]
-    return _zero_sum_matching(vals, r)
+    return _zero_sum_matching(list(t.a) + [-t.e % t.r, -1 % t.r], t.r)
 
 
 def _terminal_scan_r(r: int) -> list[TermTuple]:

@@ -363,6 +363,14 @@ _DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
     ["scan", "--rmax", "5", "--mode", "accum"],
     ["scan", "--rmax", "5", "--mode", "accum", "--target", "5", "--windows", "1"],
     ["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "-1"],
+    # a flag the chosen mode would ignore
+    ["scan", "--rmax", "8", "--mode", "values", "--format", "csv"],
+    ["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "1/12",
+     "--format", "csv"],
+    ["scan", "--rmax", "5", "--target", "5/6"],
+    ["scan", "--rmax", "5", "--mode", "values", "--windows", "1/12"],
+    *(["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "1/12", *flag]
+      for flag in (["--interval", "5/6,1"], ["--open-left"], ["--closed-right"])),
     ["verify", "terminal", "--rmax", "1"],
     ["verify", "fourfold", "--rmax", "1"],
     ["verify", "fivefold", "--rmax", "5", "--eps", "1/6", "--cond", "4a"],
@@ -425,6 +433,14 @@ def test_box_limit_exit_code(capsys, monkeypatch):
     (["mld", "--r", "13", "--w", ""], "error: weights are required for r >= 2\n"),
     (["scan", "--rmax", "5", "--mode", "accum"],
      "error: --target and --windows are required with --mode accum\n"),
+    (["scan", "--rmax", "8", "--mode", "values", "--format", "csv"],
+     "error: --format csv needs --mode records, not --mode values\n"),
+    (["scan", "--rmax", "5", "--target", "5/6", "--windows", "1/12"],
+     "error: --target and --windows need --mode accum, not --mode records\n"),
+    (["scan", "--rmax", "5", "--mode", "accum", "--target", "5/6", "--windows", "1/12",
+      "--open-left"],
+     "error: --mode accum scans (target, target + w]; "
+     "it takes no --interval, --open-left or --closed-right\n"),
     (["verify", "transfer", "--tuple", "7:5,4,6,2", "--eps", "1/100"],
      "error: --tuple must look like r:a1,a2,a3,a4:e\n"),
     (["verify", "transfer", "--tuple", "x:5,4,6,2:2", "--eps", "1/100"],
