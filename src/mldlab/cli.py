@@ -128,7 +128,7 @@ def _cmd_mld(args) -> int:
 def _scan_config(args) -> ScanConfig:
     lo, hi = Fraction(0), None
     include_lo, include_hi = True, False
-    if args.interval:
+    if args.interval is not None:
         parts = args.interval.split(",")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError("interval must be 'lo,hi'")
@@ -307,21 +307,13 @@ def _cmd_hq_psi(args) -> tuple[dict, dict, int]:
 
 def _cmd_hq_identity5(args) -> int:
     failures = hyperquot.identity5_check(args.r, args.a, args.e)
-    if failures:
-        print("failures at j = " + ",".join(str(j) for j in failures))
-    else:
-        print("ok")
+    print("failures at j = " + ",".join(map(str, failures)) if failures else "ok")
     return 0
 
 
 def _cmd_hq_type(args) -> int:
-    tag, param = hyperquot.classify_type(args.r, args.a, args.e)
-    if tag == "none":
-        print("none")
-    elif param is None:
-        print(tag)
-    else:
-        print(f"{tag} a={param}")
+    tag, param = hyperquot.classify_type(args.r, args.a, args.e)  # ("none", None) on no match
+    print(tag if param is None else f"{tag} a={param}")
     return 0
 
 
@@ -396,13 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="lemma verifiers")
     vsub = p.add_subparsers(dest="subcommand", required=True)
 
-    q = vsub.add_parser("terminal", help="brute-force the terminal classification")
-    q.add_argument("--rmax", type=int, default=30)
-    _structured(q, _cmd_verify_terminal, jobs=True)
-
-    q = vsub.add_parser("fourfold", help="brute-force the fourfold gap window")
-    q.add_argument("--rmax", type=int, default=40)
-    _structured(q, _cmd_verify_fourfold, jobs=True)
+    for name, help_text, rmax, func in (
+            ("terminal", "brute-force the terminal classification", 30, _cmd_verify_terminal),
+            ("fourfold", "brute-force the fourfold gap window", 40, _cmd_verify_fourfold)):
+        q = vsub.add_parser(name, help=help_text)
+        q.add_argument("--rmax", type=int, default=rmax)
+        _structured(q, func, jobs=True)
 
     q = vsub.add_parser("transfer", help="classify one transfer tuple")
     q.add_argument("--tuple", required=True, help="r:a1,a2,a3,a4:e")

@@ -48,9 +48,6 @@ class MonomialSupport:
     def of(cls, *exponents):
         return cls(frozenset(exponents))
 
-    def sorted(self):
-        return sorted(self.exponents)
-
 
 @dataclass(frozen=True)
 class HyperquotientDatum(TermTuple):
@@ -85,7 +82,7 @@ def support_weight(w, S: MonomialSupport) -> Fraction:
 def semi_invariant_check(d: HyperquotientDatum):
     """None when every support vector satisfies sum_i alpha_i*a_i = e mod r;
     otherwise the smallest violating exponent vector."""
-    for alpha in d.support.sorted():
+    for alpha in sorted(d.support.exponents):
         if (sum(x * a for x, a in zip(alpha, d.a)) - d.e) % d.r != 0:
             return alpha
     return None

@@ -170,16 +170,16 @@ def count_nondivisible(start: int, k: int, p: int):
 
 
 def _fracsum_identity_failing(r: int, weights, e: int):
-    # multiplying through by r, the identity reads
-    # sum_i ((j*w_i) mod r) == (j*e mod r) + j + r
-    e %= r
-    ws = [w % r for w in weights]
+    # times r: sum_i (j*w_i mod r) == (j*e mod r) + j + r, the four w_i unpacked once
+    if r < 1 or len(weights) != 4:
+        raise ValueError("r must be positive, with exactly four weights")
+    a1, a2, a3, a4 = weights
     return (j for j in range(1, r)
-            if sum(j * w % r for w in ws) != (j * e) % r + j + r)
+            if j * a1 % r + j * a2 % r + j * a3 % r + j * a4 % r != j * e % r + j + r)
 
 
 def fracsum_identity_failures(r: int, weights, e: int) -> list[int]:
-    """All j in [1, r-1] violating sum_i {j*w_i/r} == {j*e/r} + j/r + 1."""
+    """All j in [1, r-1] violating sum_i {j*w_i/r} == {j*e/r} + j/r + 1 (four w_i)."""
     return list(_fracsum_identity_failing(r, weights, e))
 
 

@@ -13,8 +13,8 @@ Four families of checks live here:
 The exhaustive scans build numpy rows, each sorted tuple extended by the range
 of last coordinates its window allows (`qarith.ragged_ranges`), and filter them
 in staged passes; surviving terminal tuples are re-checked with plain integer
-arithmetic, fivefold candidates by an mld batch with no floor, and reported
-results carry exact rationals only.
+arithmetic, fivefold candidates (from the slab a_1 = 1) by an mld batch with
+no floor, and reported results carry exact rationals only.
 """
 
 from __future__ import annotations
@@ -78,11 +78,8 @@ def terminal_conclusion(t: TermTuple) -> bool:
     """The classification the identity forces; requires terminal_hypothesis(t).ok.
 
     The six residues a_1, a_2, a_3, a_4, -e, -1 pair into three zero sums
-    mod r.  When gcd(e, r) > 1 this is the form a_4 = e, {a_1, a_2, a_3} =
-    {1, x, -x}: a_1..a_3 and -1 are units, so a_4 and -e are the only
-    non-units and pair with each other; -1 then pairs with a unit a_i = 1,
-    and the last two sum to 0.
-    """
+    mod r.  When gcd(e, r) > 1, a_4 and -e are the only non-units and pair
+    with each other, so this is a_4 = e and {a_1, a_2, a_3} = {1, x, -x}."""
     if not terminal_hypothesis(t).ok:
         raise ValueError("tuple does not satisfy the terminal hypothesis")
     return _terminal_conclusion(t)
@@ -139,7 +136,12 @@ def _fourfold_window_rows(r: int) -> np.ndarray:
     abc = sorted_tuples(np.arange(1, r), 3)
     s3 = abc.sum(axis=1)
     ti, d = ragged_ranges(np.maximum(abc[:, 2], 11 * r // 6 + 1 - s3), np.minimum(r, 2 * r - s3))
-    return np.column_stack([abc[ti], d])
+    rows = np.empty((d.size, 4), dtype=np.int64)
+    rows[:, 3] = d
+    del d  # then a column at a time: at most six int64 per row are live
+    for i in range(3):
+        rows[:, i] = abc[ti, i]
+    return rows
 
 
 def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
@@ -186,8 +188,7 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
     r, a, e = t.r, t.a, t.e
 
     def report(failure, failure_k=None, gamma=()):
-        return TransferReport(tuple(gamma), False, failure, failure_k,
-                              "violated", None)
+        return TransferReport(tuple(gamma), False, failure, failure_k, "violated", None)
 
     failure = t.gcd_failure()
     if failure is not None:
@@ -300,14 +301,17 @@ class FivefoldCandidate:
 
 
 def _fivefold_scan_r(r: int, eps, condition: str) -> list[FivefoldCandidate]:
+    """The candidates at level r from the slab a_1 = 1: a unit u mod r keeps
+    the gcds, the linear homogeneous congruence fixing a_5, gcd(sum, r) and
+    the mld (ld of u*a at k is ld of a at u*k), and a_1 is a unit, so each
+    candidate is u times exactly one kept slab row."""
     u = np.asarray(units(r), dtype=np.int64)
     gcds = gcd_table(r)
     first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + eps, 2)
-    n, step, rows, numers = u.size ** 3 * r, quotient._K_CHUNK, [], []
-    for start in range(0, n, step):  # blocks of the lex-ordered rows keep memory bounded
-        i1, i2, i3, a4 = np.unravel_index(np.arange(start, min(start + step, n)),
-                                          (u.size, u.size, u.size, r))
-        a1, a2, a3 = u[i1], u[i2], u[i3]
+    n, step, rows, numers = u.size ** 2 * r, quotient._K_CHUNK, [], []
+    for start in range(0, n, step):  # blocks of the lex-ordered slab rows keep memory bounded
+        i2, i3, a4 = np.unravel_index(np.arange(start, min(start + step, n)), (u.size, u.size, r))
+        a1, a2, a3 = np.ones_like(a4), u[i2], u[i3]
         a5 = {"4a": -(a1 + a2), "4b": -2 * a4, "4c": -2 * a1}[condition] % r
         keep = gcds[a4] == gcds[a5]
         if condition == "4c":
@@ -318,13 +322,21 @@ def _fivefold_scan_r(r: int, eps, condition: str) -> list[FivefoldCandidate]:
         sel = (numer >= first) & (numer < stop)
         rows.append(W[sel])
         numers.append(numer[sel])
-    W, numer = np.vstack(rows), np.concatenate(numers)
-    bad = np.flatnonzero(mld_argmin_batch(r, W)[0] != numer)  # floor-0 re-check
+    return _unit_orbits(r, np.vstack(rows), np.concatenate(numers), u)
+
+
+def _unit_orbits(r: int, W: np.ndarray, numer: np.ndarray, mults) -> list[FivefoldCandidate]:
+    """The rows m * W mod r for every m in ``mults``, in lexicographic order;
+    a floor-0 batch re-checks each against the numerator of its row of W, so a
+    wrong floored minimum or a multiplier that is not a unit raises."""
+    E = (np.asarray(mults, dtype=np.int64)[:, None, None] * W % r).reshape(-1, W.shape[1])
+    order = np.lexsort(E.T[::-1])  # the first column is the primary key
+    E, numer = E[order], np.tile(numer, len(mults))[order]
+    bad = np.flatnonzero(mld_argmin_batch(r, E)[0] != numer)
     if bad.size:
-        X = CyclicQuotient(r, tuple(W[bad[0]].tolist()))
-        raise VerificationError((X, Fraction(int(numer[bad[0]]), r)))
+        raise VerificationError((r, tuple(E[bad[0]].tolist()), Fraction(int(numer[bad[0]]), r)))
     return [FivefoldCandidate(CyclicQuotient(r, tuple(row)), Fraction(num, r))
-            for row, num in zip(W.tolist(), numer.tolist())]
+            for row, num in zip(E.tolist(), numer.tolist())]
 
 
 def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[FivefoldCandidate]:

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,15 @@ def package_env():
         [str(Path(__file__).resolve().parent.parent / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+def traced_peak(call):
+    """call() and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ld_oracle(r, weights, k):
@@ -33,6 +43,18 @@ def mld_oracle(r, weights):
     if r == 1:
         return Fraction(len(weights))
     return min(ld_oracle(r, weights, k) for k in range(1, r))
+
+
+def fracsum_identity_oracle(r, weights, e):
+    """Reference failing j in [1, r-1] of sum_i {j*w_i/r} = {j*e/r} + j/r + 1,
+    with fractional parts taken as Fractions through math.floor, so any
+    integer input is read mod r."""
+    def frac(num):
+        q = Fraction(num, r)
+        return q - math.floor(q)
+
+    return [j for j in range(1, r)
+            if sum(frac(j * w) for w in weights) != frac(j * e) + Fraction(j, r) + 1]
 
 
 def transfer_oracle(t, eps):

@@ -441,6 +441,9 @@ def test_box_limit_exit_code(capsys, monkeypatch):
       "--open-left"],
      "error: --mode accum scans (target, target + w]; "
      "it takes no --interval, --open-left or --closed-right\n"),
+    # an empty interval is malformed like a one-sided one, not the whole spectrum
+    (["scan", "--rmax", "5", "--interval", ""], "error: interval must be 'lo,hi'\n"),
+    (["scan", "--rmax", "5", "--interval", "1"], "error: interval must be 'lo,hi'\n"),
     (["verify", "transfer", "--tuple", "7:5,4,6,2", "--eps", "1/100"],
      "error: --tuple must look like r:a1,a2,a3,a4:e\n"),
     (["verify", "transfer", "--tuple", "x:5,4,6,2:2", "--eps", "1/100"],

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import fracsum_identity_oracle
 from mldlab.hyperquot import HyperquotientDatum, MonomialSupport
-from mldlab.qarith import (TermTuple, consecutive_integers, count_nondivisible, format_rat,
-                           frac, fracsum_identity_failures, gcd_table, ragged_ranges,
+from mldlab.qarith import (TermTuple, consecutive_integers, count_nondivisible,
+                           first_fracsum_identity_failure, format_rat, frac,
+                           fracsum_identity_failures, gcd_table, ragged_ranges,
                            sorted_tuples, units, window_bounds, window_eps)
 
 
@@ -100,6 +102,49 @@ def test_fracsum_identity_scanner():
     # {x} + {-x} = 1 off integers makes (a, r-a, 1, 0; 0) satisfy the identity
     assert fracsum_identity_failures(5, (2, 3, 1, 0), 0) == []
     assert fracsum_identity_failures(5, (1, 1, 1, 1), 0) == [1, 2, 3, 4]
+
+
+def test_fracsum_identity_against_oracle(rng):
+    # random TermTuples, half of them built to satisfy the identity, passed
+    # both reduced and as raw integers shifted by multiples of r (so out of
+    # range and negative); the failing j must match the Fraction oracle
+    holds = 0
+    for _ in range(1500):
+        r = rng.randint(2, 30)
+        if rng.random() < 0.5:  # (x, -x, 1, z; z) holds for every unit x
+            x, z = rng.choice(units(r)), rng.randrange(r)
+            a = [x, -x, 1, z]
+            rng.shuffle(a)
+            t = TermTuple(r, tuple(a), z)
+        else:
+            t = TermTuple(r, tuple(rng.randrange(r) for _ in range(4)), rng.randrange(r))
+        raw = tuple(w + r * rng.randint(-5, 5) for w in t.a)
+        e = t.e + r * rng.randint(-5, 5)
+        want = fracsum_identity_oracle(r, t.a, t.e)
+        assert fracsum_identity_failures(t.r, t.a, t.e) == want, t
+        assert fracsum_identity_failures(r, raw, e) == want, (r, raw, e)
+        assert fracsum_identity_oracle(r, raw, e) == want
+        assert first_fracsum_identity_failure(r, raw, e) == (want[0] if want else None)
+        holds += not want
+    assert holds > 600
+
+
+def test_first_fracsum_identity_failure_stops_at_the_first_j():
+    # (1, -1, y, y; 2y - 1) with y = r/2 - 1 holds at j = 1 and first fails
+    # at j = 2, where 2*(2y - 1) wraps mod r and 2y does not; at r = 10**15
+    # a scan past the first failing j would not finish
+    for r in (20, 10**15):
+        y = r // 2 - 1
+        assert first_fracsum_identity_failure(r, (1, r - 1, y, y), 2 * y - 1) == 2
+    assert fracsum_identity_oracle(20, (1, 19, 9, 9), 17)[0] == 2
+
+
+def test_fracsum_identity_needs_four_weights():
+    for weights in ((1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError):
+            fracsum_identity_failures(7, weights, 0)
+        with pytest.raises(ValueError):
+            first_fracsum_identity_failure(7, weights, 0)
 
 
 def test_window_bounds_against_fractions(rng):

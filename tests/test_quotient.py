@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import ld_oracle, mld_oracle
+from conftest import ld_oracle, mld_oracle, traced_peak
 from mldlab import quotient
 from mldlab.quotient import (CyclicQuotient, index_gcd, is_isolated, ld_numerators,
                              mld, mld_argmin, mld_argmin_batch, toroidal_ld,
@@ -171,14 +170,6 @@ def test_ld_numerators_reduces_weights_mod_r():
         numer, argk = mld_argmin_batch(r, [raw])
         assert (Fraction(int(numer[0]), r), int(argk[0])) == (mld_oracle(r, reduced),
                                                               argmin_oracle(r, reduced)[0])
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_ld_numerators_memory_below_the_product_block(rng):

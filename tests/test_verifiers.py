@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ld_oracle, mld_oracle, transfer_oracle
+from conftest import ld_oracle, mld_oracle, traced_peak, transfer_oracle
 from mldlab import quotient, spectrum, verifiers
 from mldlab.qarith import VerificationError, sorted_tuples, units
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
@@ -197,6 +197,15 @@ def test_fourfold_window_rows_match_combinations():
         assert [tuple(row) for row in got.tolist()] == want
 
 
+def test_fourfold_window_rows_memory():
+    # at r = 80 the 185,793 kept rows outnumber the 85,320 triples; writing
+    # triples and d into one (N, 4) array keeps the peak below nine int64 per
+    # kept row, and stacking a gathered (N, 3) block beside them does not
+    rows, peak = traced_peak(lambda: verifiers._fourfold_window_rows(80))
+    assert rows.shape == (185_793, 4)
+    assert peak < 9 * 8 * len(rows)
+
+
 def test_fourfold_known_point_not_candidate():
     # (1/2, 1/3, 1/5, 1/7) has first twisted sum 247/210, below the window
     v = (Fraction(105, 210), Fraction(70, 210), Fraction(42, 210), Fraction(30, 210))
@@ -364,12 +373,57 @@ def test_fivefold_scan_tiny_eps():
             == fivefold_scan(13, Fraction(1, 100), "4a"))
 
 
+def _fivefold_full(r_max, eps, condition):
+    """(r, weights, mld) of every fivefold candidate, from the full scan over
+    all phi(r)**3 * r rows (a_1, a_2, a_3 units, a_4 any residue) with plain
+    integer filters and the window compared as Fractions."""
+    out = []
+    for r in range(2, r_max + 1):
+        rows = []
+        for a1, a2, a3 in itertools.product(units(r), repeat=3):
+            for a4 in range(r):
+                a5 = {"4a": -(a1 + a2), "4b": -2 * a4, "4c": -2 * a1}[condition] % r
+                g4 = math.gcd(a4, r)
+                if (g4 == math.gcd(a5, r) and (condition != "4c" or g4 <= 2)
+                        and math.gcd(a1 + a2 + a3 + a4 + a5, r) == 1):
+                    rows.append((a1, a2, a3, a4, a5))
+        if not rows:
+            continue
+        numer, _ = quotient.mld_argmin_batch(r, rows)
+        out += [(r, row, Fraction(int(n), r)) for row, n in zip(rows, numer)
+                if Fraction(11, 6) + eps <= Fraction(int(n), r) < 2]
+    return out
+
+
 def test_fivefold_scan_row_blocks(monkeypatch):
-    # rows go in blocks of _K_CHUNK; 7 puts block boundaries inside every
-    # (a_1, a_2, a_3) run, and the candidates must not move
-    want = {cond: fivefold_scan(13, Fraction(1, 100), cond) for cond in ("4a", "4b", "4c")}
-    monkeypatch.setattr(quotient, "_K_CHUNK", 7)
-    assert {cond: fivefold_scan(13, Fraction(1, 100), cond) for cond in want} == want
+    # the a_1 = 1 slab expanded by units gives, in order, the candidates of
+    # the full enumeration; a _K_CHUNK of 7 puts block boundaries inside
+    # every (a_2, a_3) run of the slab, and the candidates must not move
+    eps = Fraction(1, 100)
+    want = {cond: _fivefold_full(13, eps, cond) for cond in ("4a", "4b", "4c")}
+    for chunk in (quotient._K_CHUNK, 7):
+        monkeypatch.setattr(quotient, "_K_CHUNK", chunk)
+        got = {cond: [(c.X.r, c.X.weights, c.mld) for c in fivefold_scan(13, eps, cond)]
+               for cond in want}
+        assert got == want, chunk
+
+
+def test_fivefold_counts_at_r20():
+    # candidate counts of the full enumeration at r <= 20
+    counts = [len(fivefold_scan(20, Fraction(1, 100), cond)) for cond in ("4a", "4b", "4c")]
+    assert counts == [1964, 6366, 6374]
+
+
+def test_unit_orbits_recheck_catches_a_non_unit():
+    # the slab rows of r = 10 under 4b, expanded by the units, are the level's
+    # candidates; one multiplier that is not a unit fails the floor-0 re-check
+    r, cands = 10, [c for c in fivefold_scan(10, Fraction(1, 100), "4b") if c.X.r == 10]
+    slab = [c for c in cands if c.X.weights[0] == 1]
+    W = np.array([c.X.weights for c in slab])
+    numer = np.array([int(c.mld * r) for c in slab], dtype=np.int64)
+    assert verifiers._unit_orbits(r, W, numer, units(r)) == cands
+    with pytest.raises(VerificationError):
+        verifiers._unit_orbits(r, W, numer, units(r) + [2])
 
 
 def _wrong_floor(real):
