@@ -2,8 +2,7 @@
 singularities: spectrum scans, floor-constraint region proving, congruence
 lemma verifiers, and hyperquotient weight calculus."""
 
-from .qarith import (Rat, consecutive_integers, count_nondivisible, format_rat,
-                     frac)
+from .qarith import consecutive_integers, count_nondivisible, format_rat, frac
 from .quotient import (CyclicQuotient, index_gcd, is_isolated, mld, mld_argmin,
                        toroidal_ld, toroidal_weight)
 from .spectrum import (ScanConfig, SpectrumRecord, accumulation_report,
@@ -11,7 +10,7 @@ from .spectrum import (ScanConfig, SpectrumRecord, accumulation_report,
                        scan)
 
 __all__ = [
-    "Rat", "frac", "consecutive_integers", "count_nondivisible",
+    "frac", "consecutive_integers", "count_nondivisible",
     "CyclicQuotient", "toroidal_weight", "toroidal_ld", "mld", "mld_argmin", "is_isolated",
     "index_gcd",
     "ScanConfig", "SpectrumRecord", "scan", "distinct_values",

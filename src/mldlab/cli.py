@@ -9,6 +9,8 @@ document {"manifest": ..., "payload": ...} to stdout or to `--out`.  Payloads
 are byte-deterministic for identical parameters (timestamps and wall time
 live in the manifest only).  Exit codes: 0 success, 1 an expected-empty suite
 produced a witness or counterexample, 2 usage error, 3 resource-guard abort.
+Every setting comes from the command line alone; the region commands take
+their box budget from `--box-limit` (default `regions.DEFAULT_BOX_LIMIT`).
 """
 
 from __future__ import annotations
@@ -63,21 +65,14 @@ def _parse_krange(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_budget(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        return regions.positive_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
+        value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if jobs < 1:
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return jobs
+    return value
 
 
 def _int_list(value) -> bool:
@@ -110,16 +105,14 @@ def _emit(args, parameters: dict, payload, started: float) -> None:
 # ---------------------------------------------------------------- mld
 
 def _cmd_mld(args) -> int:
-    if args.r == 1:
-        weights = args.w if args.w else (0,) * args.dim
-        X = CyclicQuotient(1, weights)
-        print(format_rat(mld(X)))
-        return 0
     if not args.w:
-        raise ValueError("weights are required for r >= 2")
+        raise ValueError("weights are required")
     X = CyclicQuotient(args.r, args.w)
-    k, value = mld_argmin(X)
-    print(f"{format_rat(value)} (k={k})")
+    if X.r == 1:
+        print(format_rat(mld(X)))
+    else:
+        k, value = mld_argmin(X)
+        print(f"{format_rat(value)} (k={k})")
     return 0
 
 
@@ -180,12 +173,8 @@ def _cmd_scan(args) -> int:
 
 # ---------------------------------------------------------------- regions
 
-def _region_limit(args) -> int:
-    return regions.box_limit() if args.box_limit is None else args.box_limit
-
-
 def _cmd_regions_sgrid(args) -> tuple[dict, dict, int]:
-    report = regions.verify_s_grid(args.nmax, _region_limit(args), jobs=args.jobs)
+    report = regions.verify_s_grid(args.nmax, args.box_limit, jobs=args.jobs)
     empties = sum(1 for entry in report if entry["verdict"] == "empty")
     payload = {"nmax": args.nmax, "intervals": report,
                "empty": empties, "total": len(report)}
@@ -195,7 +184,7 @@ def _cmd_regions_sgrid(args) -> tuple[dict, dict, int]:
 def _cmd_regions_vl(args) -> tuple[dict, dict, int]:
     if args.start > args.stop:
         raise ValueError(f"empty level range {args.start}..{args.stop}")
-    results = {l: regions.verify_vl_step(l, _region_limit(args))
+    results = {l: regions.verify_vl_step(l, args.box_limit)
                for l in range(args.start, args.stop + 1)}
     payload = {"steps": {str(l): ok for l, ok in results.items()},
                "all_equal": all(results.values())}
@@ -207,7 +196,7 @@ def _cmd_regions_cases(args) -> tuple[dict, dict, int]:
     cases = range(args.case[0], args.case[1] + 1) if args.case else range(1, 11)
     payload = {"verdicts": [], "witnesses": 0}
     for k, cid, res in regions.verify_cases(range(klo, khi + 1), cases,
-                                            _region_limit(args), jobs=args.jobs):
+                                            args.box_limit, jobs=args.jobs):
         payload["verdicts"].append({"k": k, "case": cid, **res.certificate()})
         if not res.is_empty:
             payload["witnesses"] += 1
@@ -215,7 +204,7 @@ def _cmd_regions_cases(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_regions_system(args) -> tuple[dict, dict, int]:
-    if args.gamma_file:
+    if args.gamma_file is not None:
         with open(args.gamma_file, encoding="utf-8") as fh:
             pairs = json.load(fh)
     elif args.gamma is not None:
@@ -226,7 +215,7 @@ def _cmd_regions_system(args) -> tuple[dict, dict, int]:
         raise ValueError("gamma must be a JSON list of [n, c] integer pairs")
     G = regions.GammaSet(tuple(map(tuple, pairs)))
     initial = regions.unit_cube(ordered_simplex=not args.unordered)
-    res = regions.system_empty(initial, G, _region_limit(args))
+    res = regions.system_empty(initial, G, args.box_limit)
     return ({"pairs": [list(p) for p in G]}, res.certificate(),
             1 if args.expect_empty and not res.is_empty else 0)
 
@@ -322,9 +311,9 @@ def _cmd_hq_type(args) -> int:
 def _structured(q, func, *, jobs: bool = False, box_limit: bool = False) -> None:
     """Add the trailing flags of a structured command and bind its function."""
     if jobs:
-        q.add_argument("--jobs", type=_parse_jobs, default=_default_jobs())
+        q.add_argument("--jobs", type=_positive_int, default=_default_jobs())
     if box_limit:
-        q.add_argument("--box-limit", type=_parse_budget, default=None)
+        q.add_argument("--box-limit", type=_positive_int, default=regions.DEFAULT_BOX_LIMIT)
     q.add_argument("--out", default=None)
     q.set_defaults(func=func)
 
@@ -338,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mld", help="mld of a single cyclic quotient")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--w", type=_parse_weights, default=())
-    p.add_argument("--dim", type=int, default=3,
-                   help="dimension when r=1 and no weights are given")
+    p.add_argument("--w", type=_parse_weights, default=(),
+                   help="comma-separated weights, e.g. 3,4,5 or 0,0,0 at r=1")
     p.set_defaults(func=_cmd_mld)
 
     p = sub.add_parser("scan", help="spectrum scan over canonical weight classes")
@@ -350,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open-left", action="store_true")
     p.add_argument("--closed-right", action="store_true")
     p.add_argument("--isolated", action="store_true")
-    p.add_argument("--jobs", type=_parse_jobs, default=_default_jobs())
+    p.add_argument("--jobs", type=_positive_int, default=_default_jobs())
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--mode", choices=("records", "values", "accum"),
                    default="records")
@@ -378,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     _structured(q, _cmd_regions_cases, jobs=True, box_limit=True)
 
     q = rsub.add_parser("system", help="run an explicit constraint system")
-    q.add_argument("--gamma", default=None, help="JSON list of [n,c] pairs")
-    q.add_argument("--gamma-file", default=None)
+    source = q.add_mutually_exclusive_group()
+    source.add_argument("--gamma", default=None, help="JSON list of [n,c] pairs")
+    source.add_argument("--gamma-file", default=None, help="file holding that JSON list")
     q.add_argument("--expect-empty", action="store_true")
     q.add_argument("--unordered", action="store_true",
                    help="drop the ordered-simplex restriction")

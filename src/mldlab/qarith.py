@@ -12,10 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# The single rational type used across the package.  Arbitrary precision,
-# always stored reduced with a positive denominator.
-Rat = Fraction
-
 
 class VerificationError(RuntimeError):
     """An exact re-check disagreed with the result it guards: a bug, not a

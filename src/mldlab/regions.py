@@ -19,7 +19,6 @@ system.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -29,32 +28,10 @@ from .pool import parallel_map
 from .qarith import VerificationError, format_rat
 
 DEFAULT_BOX_LIMIT = 10**6
-_BOX_LIMIT_ENV = "MLDLAB_BOX_LIMIT"
 
 
 class BoxLimitExceeded(RuntimeError):
     """A refinement produced more boxes than the configured budget allows."""
-
-
-def positive_int(text: str) -> int:
-    """int(text), which must be at least 1: the domain of a box budget."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"box budget is not an integer: {text!r}") from None
-    if value < 1:
-        raise ValueError(f"box budget is below 1: {text!r}")
-    return value
-
-
-def box_limit() -> int:
-    raw = os.environ.get(_BOX_LIMIT_ENV)
-    if raw:
-        try:
-            return positive_int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{_BOX_LIMIT_ENV} must be a positive integer") from exc
-    return DEFAULT_BOX_LIMIT
 
 
 @dataclass(frozen=True)
@@ -198,7 +175,7 @@ def _union(scale: int, boxes, ordered_simplex: bool) -> BoxUnion:
 
 
 def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
-            limit: int | None) -> list:
+            limit: int) -> list:
     """The refinement step on integer boxes over `scale` (a multiple of fc.n).
 
     With s = scale/n, the cell m of an axis is [m*s, (m+1)*s), on which
@@ -207,8 +184,6 @@ def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
     cell also needs a greedy corner.  The output keeps the order (box, m1,
     m2); BoxLimitExceeded is raised once it exceeds the box budget.
     """
-    if limit is None:
-        limit = box_limit()
     s, target = scale // fc.n, fc.target
     out = []
     for (l1, h1), (l2, h2), (l3, h3) in boxes:
@@ -230,7 +205,7 @@ def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
     return out
 
 
-def _fold(U: BoxUnion, pairs, limit: int | None):
+def _fold(U: BoxUnion, pairs, limit: int):
     """(scale, boxes, counts): U on one integer scale for every modulus of
     `pairs`, refined by each (n, c) in order until no box is left; counts
     holds the box count after each applied pair."""
@@ -244,7 +219,8 @@ def _fold(U: BoxUnion, pairs, limit: int | None):
     return scale, boxes, counts
 
 
-def constraint_refine(U: BoxUnion, fc: FloorConstraint, limit: int | None = None) -> BoxUnion:
+def constraint_refine(U: BoxUnion, fc: FloorConstraint,
+                      limit: int = DEFAULT_BOX_LIMIT) -> BoxUnion:
     """U intersected with the constraint region, as a new BoxUnion.
 
     Each box splits along each axis at the contained multiples of 1/n; the
@@ -284,7 +260,7 @@ class SystemResult:
         }
 
 
-def system_empty(initial: BoxUnion, G: GammaSet, limit: int | None = None) -> SystemResult:
+def system_empty(initial: BoxUnion, G: GammaSet, limit: int = DEFAULT_BOX_LIMIT) -> SystemResult:
     """Apply the constraints of G in ascending (n, c) order and report.
 
     Small-n constraints prune hardest, so ascending order keeps intermediate
@@ -363,7 +339,7 @@ def boxunion_equal(A: BoxUnion, B: BoxUnion) -> bool:
                    for cell in cells[0] ^ cells[1])
 
 
-def verify_vl_step(l: int, limit: int | None = None) -> bool:
+def verify_vl_step(l: int, limit: int = DEFAULT_BOX_LIMIT) -> bool:
     """Check that refining the level-l box by its three constraints gives level l+1."""
     pairs = ((6 * l + 4, l + 1), (6 * l + 5, l + 1), (6 * l + 8, l + 2))
     scale, boxes, _ = _fold(vl_box(l), pairs, limit)
@@ -402,7 +378,7 @@ def case_boxes(k: int) -> BoxUnion:
     return BoxUnion(boxes, ordered_simplex=True)
 
 
-def case_initial_region(k: int, limit: int | None = None) -> BoxUnion:
+def case_initial_region(k: int, limit: int = DEFAULT_BOX_LIMIT) -> BoxUnion:
     """The four-box union for level k, refined by the ten shared constraints."""
     scale, boxes, _ = _fold(case_boxes(k), shared_case_constraints(k).pairs, limit)
     return _union(scale, boxes, True)
@@ -441,18 +417,18 @@ def case_constraints(k: int, case_id: int) -> GammaSet:
     return GammaSet(table[case_id])
 
 
-def _case_level_task(k: int, case_ids, limit: int | None) -> list:
+def _case_level_task(k: int, case_ids, limit: int) -> list:
     initial = case_initial_region(k, limit)
     return [(k, cid, system_empty(initial, case_constraints(k, cid), limit))
             for cid in case_ids]
 
 
-def verify_case(k: int, case_id: int, limit: int | None = None) -> SystemResult:
+def verify_case(k: int, case_id: int, limit: int = DEFAULT_BOX_LIMIT) -> SystemResult:
     """Run one interval case at level k; an 'empty' verdict is the expected one."""
     return _case_level_task(k, (case_id,), limit)[0][2]
 
 
-def verify_cases(ks, case_ids, limit: int | None = None, jobs: int = 1):
+def verify_cases(ks, case_ids, limit: int = DEFAULT_BOX_LIMIT, jobs: int = 1):
     """Run a block of case verifications, optionally across a process pool.
 
     Each level's initial region is refined once and shared by its cases; the
@@ -490,7 +466,7 @@ def s_grid_intervals() -> list[tuple[Fraction, Fraction | None]]:
     return out
 
 
-def _s_grid_task(interval, n_max: int, limit: int | None) -> dict:
+def _s_grid_task(interval, n_max: int, limit: int) -> dict:
     a, b = interval
     G = gamma_of_interval(a, b, n_max)
     result = system_empty(unit_cube(ordered_simplex=True), G, limit)
@@ -498,7 +474,7 @@ def _s_grid_task(interval, n_max: int, limit: int | None) -> dict:
             **result.certificate()}
 
 
-def verify_s_grid(n_max: int, limit: int | None = None, jobs: int = 1) -> list[dict]:
+def verify_s_grid(n_max: int, limit: int = DEFAULT_BOX_LIMIT, jobs: int = 1) -> list[dict]:
     """Run every interval of the grid against the unit cube; report per-interval."""
     task = partial(_s_grid_task, n_max=n_max, limit=limit)
     return list(parallel_map(task, s_grid_intervals(), jobs))

@@ -27,7 +27,7 @@ def test_mld_command(capsys):
     assert code == 0 and out.strip() == "12/13 (k=1)"
     code, out = run_cli(capsys, "mld", "--r", "7", "--w", "2,3,1")
     assert code == 0 and out.strip() == "6/7 (k=1)"
-    code, out = run_cli(capsys, "mld", "--r", "1", "--w", "", "--dim", "3")
+    code, out = run_cli(capsys, "mld", "--r", "1", "--w", "0,0,0")
     assert code == 0 and out.strip() == "3"
 
 
@@ -84,6 +84,25 @@ def test_regions_system_empty_exit(capsys):
                         "--expect-empty")
     assert code == 0
     assert json.loads(out)["payload"]["verdict"] == "empty"
+
+
+def test_regions_system_gamma_file(tmp_path, capsys):
+    path = tmp_path / "gamma.json"
+    path.write_text("[[5,1],[7,2]]")
+    _, from_flag = run_cli(capsys, "regions", "system", "--gamma", "[[5,1],[7,2]]")
+    _, from_file = run_cli(capsys, "regions", "system", "--gamma-file", str(path))
+    assert payload_of(from_file) == payload_of(from_flag)
+
+
+def test_regions_system_unordered(capsys):
+    payloads = []
+    for flags in ([], ["--unordered"]):
+        code, out = run_cli(capsys, "regions", "system", "--gamma", "[[5,1],[7,2]]", *flags)
+        assert code == 0
+        payloads.append(json.loads(out)["payload"])
+    assert [p["box_counts"] for p in payloads] == [[3, 5], [10, 24]]
+    for p in payloads:
+        assert (p["verdict"], p["witness"]) == ("witness", ["0", "0", "3/5"])
 
 
 def test_regions_vl_steps(capsys):
@@ -388,16 +407,11 @@ _DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
     ["regions", "cases", "--k", "4", "--case", "3..2"],
     ["regions", "vl-steps", "--from", "4", "--to", "3"],
 ] + [
-    # a box budget below 1, from the flag or from the environment
+    # a box budget below 1
     ["regions", cmd, *extra, "--box-limit", limit]
     for cmd, extra in (("s-grid", ["--nmax", "20"]), ("cases", ["--k", "4"]),
                        ("vl-steps", []), ("system", ["--gamma", "[[2,1]]"]))
     for limit in ("0", "-5")
-] + [
-    [{"MLDLAB_BOX_LIMIT": limit}, "regions", "s-grid", "--nmax", "20", "--jobs", jobs]
-    for limit in ("0", "-5") for jobs in ("1", "2")
-] + [
-    [{"MLDLAB_BOX_LIMIT": "0"}, "regions", "system", "--gamma", "[]"],
 ] + [
     # a job count below 1 would silently run in-process
     ["scan", "--rmax", "5", "--jobs", "0"],
@@ -405,11 +419,7 @@ _DATUM = {"r": 5, "a": [2, 3, 1, 0], "e": 0, "support": [[1, 1, 0, 0]]}
     ["verify", "fourfold", "--rmax", "3", "--jobs", "-1"],
     ["regions", "s-grid", "--nmax", "5", "--jobs", "0"],
 ], ids=json.dumps)
-def test_bad_input_is_usage_error(tmp_path, capsys, monkeypatch, argv):
-    if isinstance(argv[0], dict):
-        for name, value in argv[0].items():
-            monkeypatch.setenv(name, value)
-        argv = argv[1:]
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):
         path = tmp_path / "datum.json"
         path.write_text(json.dumps({**_DATUM, **argv[-1]}))
@@ -423,14 +433,19 @@ def test_jobs_below_one_names_the_flag(capsys):
     assert err.splitlines()[-1].endswith("error: argument --jobs: must be at least 1: '0'")
 
 
-def test_box_limit_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("MLDLAB_BOX_LIMIT", "2")
-    code, out = run_cli(capsys, "regions", "s-grid", "--nmax", "20", "--jobs", "1")
-    assert code == 3
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_box_limit_exit_code(capsys, jobs):
+    # at jobs 2 the budget reaches the pool workers with the task
+    code, out = run_cli(capsys, "regions", "s-grid", "--nmax", "20", "--box-limit", "2",
+                        "--jobs", jobs)
+    assert (code, out) == (3, "")
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["mld", "--r", "13", "--w", ""], "error: weights are required for r >= 2\n"),
+    (["mld", "--r", "13", "--w", ""], "error: weights are required\n"),
+    # an empty --gamma-file names a file, not a missing flag
+    (["regions", "system", "--gamma-file", ""],
+     "error: [Errno 2] No such file or directory: ''\n"),
     (["scan", "--rmax", "5", "--mode", "accum"],
      "error: --target and --windows are required with --mode accum\n"),
     (["scan", "--rmax", "8", "--mode", "values", "--format", "csv"],
@@ -450,14 +465,8 @@ def test_box_limit_exit_code(capsys, monkeypatch):
      "error: --tuple field r is not an integer: 'x'\n"),
     (["verify", "transfer", "--tuple", "7:5,4,6,2:y", "--eps", "1/100"],
      "error: --tuple field e is not an integer: 'y'\n"),
-    ([{"MLDLAB_BOX_LIMIT": "x"}, "regions", "system", "--gamma", "[]"],
-     "error: MLDLAB_BOX_LIMIT must be a positive integer\n"),
 ], ids=json.dumps)
-def test_usage_error_message(capsys, monkeypatch, argv, err):
-    if isinstance(argv[0], dict):
-        for name, value in argv[0].items():
-            monkeypatch.setenv(name, value)
-        argv = argv[1:]
+def test_usage_error_message(capsys, argv, err):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", err)
@@ -470,10 +479,11 @@ _FUNCTION_NAMES = {name for module in (cli, regions)
 
 @pytest.mark.parametrize("argv, message", [
     (["regions", "cases", "--k", "4..x"], "argument --k: malformed range: '4..x'"),
-    (["regions", "s-grid", "--box-limit", "x"],
-     "argument --box-limit: box budget is not an integer: 'x'"),
-    (["regions", "s-grid", "--box-limit", "0"],
-     "argument --box-limit: box budget is below 1: '0'"),
+    (["regions", "s-grid", "--box-limit", "x"], "argument --box-limit: invalid int value: 'x'"),
+    (["regions", "s-grid", "--box-limit", "0"], "argument --box-limit: must be at least 1: '0'"),
+    # the two sources of constraint pairs exclude each other
+    (["regions", "system", "--gamma", "[[2,1]]", "--gamma-file", "gamma.json"],
+     "argument --gamma-file: not allowed with argument --gamma"),
 ], ids=json.dumps)
 def test_rejected_value_says_what_is_wrong(capsys, argv, message):
     err = _usage_error(capsys, argv)
@@ -519,7 +529,9 @@ def test_manifest_contract(tmp_path, capsys, monkeypatch, argv, parameters):
     ({}, ["regions", "system", "--gamma", "[]"], 0),
     ({}, ["regions", "system", "--gamma", "[[2,1]]", "--expect-empty"], 1),
     ({}, ["mld", "--r", "13", "--w", ""], 2),
-    ({"MLDLAB_BOX_LIMIT": "2"}, ["regions", "s-grid", "--nmax", "20", "--jobs", "1"], 3),
+    ({}, ["regions", "s-grid", "--nmax", "20", "--box-limit", "2", "--jobs", "1"], 3),
+    # the budget comes from --box-limit alone: the environment does not shrink it
+    ({"MLDLAB_BOX_LIMIT": "2"}, ["regions", "s-grid", "--nmax", "20", "--jobs", "1"], 1),
 ], ids=json.dumps)
 def test_process_exit_status(env, argv, code):
     done = subprocess.run([sys.executable, "-m", "mldlab.cli", *argv],

@@ -248,16 +248,9 @@ def test_s_grid_nmax100_known_verdicts():
     assert all(entry["verdict"] == "empty" for entry in report120)
 
 
-def test_box_limit_guard(monkeypatch):
+def test_box_limit_guard():
     with pytest.raises(BoxLimitExceeded):
         constraint_refine(unit_cube(False), FloorConstraint(30, 5), limit=3)
-    monkeypatch.setenv("MLDLAB_BOX_LIMIT", "2")
-    assert regions.box_limit() == 2
-    with pytest.raises(BoxLimitExceeded):
-        constraint_refine(unit_cube(False), FloorConstraint(30, 5))
-    monkeypatch.setenv("MLDLAB_BOX_LIMIT", "junk")
-    with pytest.raises(ValueError):
-        regions.box_limit()
 
 
 def test_box_validation():
@@ -353,7 +346,7 @@ def test_verify_cases_refines_each_level_once(monkeypatch):
     built = []
     original = regions.case_initial_region
 
-    def counting(k, limit=None):
+    def counting(k, limit):
         built.append(k)
         return original(k, limit)
 
