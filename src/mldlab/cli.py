@@ -193,14 +193,14 @@ def _cmd_regions_vl(args) -> tuple[dict, dict, int]:
 
 def _cmd_regions_cases(args) -> tuple[dict, dict, int]:
     klo, khi = args.k
-    cases = range(args.case[0], args.case[1] + 1) if args.case else range(1, 11)
+    lo, hi = args.case or (1, 10)
     payload = {"verdicts": [], "witnesses": 0}
-    for k, cid, res in regions.verify_cases(range(klo, khi + 1), cases,
+    for k, cid, res in regions.verify_cases(range(klo, khi + 1), range(lo, hi + 1),
                                             args.box_limit, jobs=args.jobs):
         payload["verdicts"].append({"k": k, "case": cid, **res.certificate()})
         if not res.is_empty:
             payload["witnesses"] += 1
-    return {"k": list(args.k)}, payload, 0 if payload["witnesses"] == 0 else 1
+    return {"k": list(args.k), "case": [lo, hi]}, payload, 0 if payload["witnesses"] == 0 else 1
 
 
 def _cmd_regions_system(args) -> tuple[dict, dict, int]:
@@ -216,7 +216,7 @@ def _cmd_regions_system(args) -> tuple[dict, dict, int]:
     G = regions.GammaSet(tuple(map(tuple, pairs)))
     initial = regions.unit_cube(ordered_simplex=not args.unordered)
     res = regions.system_empty(initial, G, args.box_limit)
-    return ({"pairs": [list(p) for p in G]}, res.certificate(),
+    return ({"pairs": [list(p) for p in G], "unordered": args.unordered}, res.certificate(),
             1 if args.expect_empty and not res.is_empty else 0)
 
 

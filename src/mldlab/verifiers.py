@@ -4,7 +4,7 @@ Four families of checks live here:
 
 * the four-variable congruence identity behind the terminal classification
   (`terminal_hypothesis` / `terminal_conclusion` / `terminal_bruteforce`;
-  the conclusion is one zero-sum matching of a_1, a_2, a_3, a_4, -e, -1),
+  the conclusion is that a_1, a_2, a_3, a_4, -e, -1 pair into zero sums mod r),
 * the fourfold discrepancy-gap scan (`fourfold_gap_scan`),
 * the transfer classifier turning four weights plus a character into a
   fivefold quotient (`transfer_classify` / `lift_to_fivefold`), and
@@ -12,9 +12,9 @@ Four families of checks live here:
 
 The exhaustive scans build numpy rows, each sorted tuple extended by the range
 of last coordinates its window allows (`qarith.ragged_ranges`), and filter them
-in staged passes; surviving terminal tuples are re-checked with plain integer
-arithmetic, fivefold candidates (from the slab a_1 = 1) by an mld batch with
-no floor, and reported results carry exact rationals only.
+in staged passes; surviving terminal tuples are re-checked against the full
+hypothesis at every j at once, fivefold candidates (from the slab a_1 = 1) by
+an mld batch with no floor, and reported results carry exact rationals only.
 """
 
 from __future__ import annotations
@@ -62,16 +62,25 @@ def terminal_hypothesis(t: TermTuple) -> HypothesisCheck:
     return HypothesisCheck(failure is None, failure)
 
 
-def _zero_sum_matching(vals, r) -> bool:
-    """Can the six residues be split into three pairs each summing to 0 mod r?"""
-    if not vals:
-        return True
-    first, rest = vals[0], vals[1:]
-    for i, other in enumerate(rest):
-        if (first + other) % r == 0:
-            if _zero_sum_matching(rest[:i] + rest[i + 1:], r):
-                return True
-    return False
+def _hypothesis_rows(r: int, cols: np.ndarray) -> np.ndarray:
+    """Row-wise `terminal_hypothesis(...).ok` over (N, 5) rows (a_1..a_4, e) in
+    [0, r): the identity at every j in [1, r-1] in one (N, r-1) evaluation,
+    a weight column at a time, then the gcd sides."""
+    j = np.arange(1, r, dtype=np.int64)
+    gap = np.multiply.outer(cols[:, 4], j) % r + j + r  # the identity holds where gap ends at 0
+    for i in range(4):
+        gap -= np.multiply.outer(cols[:, i], j) % r
+    g = np.gcd(cols, r)
+    return ~gap.any(axis=1) & (g[:, :3] == 1).all(axis=1) & (g[:, 3] == g[:, 4])
+
+
+def _zero_sum_pairs(r: int, vals: np.ndarray) -> np.ndarray:
+    """Row-wise: do the entries of each row (an even number) split into pairs
+    summing to 0 mod r?  Exactly when the sorted residues equal their sorted
+    negatives (x pairs with -x) and 0 occurs an even number of times; the
+    other self-inverse residue, r/2, then occurs an even number of times too."""
+    vals = np.sort(vals % r, axis=1)
+    return (vals == np.sort(-vals % r, axis=1)).all(axis=1) & ((vals == 0).sum(axis=1) % 2 == 0)
 
 
 def terminal_conclusion(t: TermTuple) -> bool:
@@ -82,11 +91,7 @@ def terminal_conclusion(t: TermTuple) -> bool:
     with each other, so this is a_4 = e and {a_1, a_2, a_3} = {1, x, -x}."""
     if not terminal_hypothesis(t).ok:
         raise ValueError("tuple does not satisfy the terminal hypothesis")
-    return _terminal_conclusion(t)
-
-
-def _terminal_conclusion(t: TermTuple) -> bool:
-    return _zero_sum_matching(list(t.a) + [-t.e % t.r, -1 % t.r], t.r)
+    return bool(_zero_sum_pairs(t.r, np.array([t.a + (-t.e, -1)], dtype=np.int64))[0])
 
 
 def _terminal_scan_r(r: int) -> list[TermTuple]:
@@ -96,7 +101,7 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     both symmetric in the first three residues, so sorted enumeration finds a
     counterexample iff one exists.  Stage one solves the j = 1 identity for e
     (it pins e = a_1+a_2+a_3+a_4 - r - 1); stage two runs the remaining j
-    with a shrinking mask; survivors get exact scalar re-checks.
+    with a shrinking mask; survivors get one exact all-j re-check.
     """
     triples = sorted_tuples(units(r), 3)
     s3 = triples.sum(axis=1)
@@ -106,19 +111,14 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     gcds = gcd_table(r)
     cols = np.column_stack([triples[ti], a4, e])[gcds[e] == gcds[a4]]
     for j in range(2, r):
-        if not len(cols):
-            return []
         lhs = ((cols[:, :4] * j) % r).sum(axis=1)
         rhs = (cols[:, 4] * j) % r + j + r
         cols = cols[lhs == rhs]
-    out = []
-    for a1, a2, a3, a4v, ev in cols.tolist():
-        t = TermTuple(r, (a1, a2, a3, a4v), ev)
-        if not terminal_hypothesis(t).ok:  # exact scalar re-check of the scan
-            raise VerificationError(t)
-        if not _terminal_conclusion(t):
-            out.append(t)
-    return out
+    if not (ok := _hypothesis_rows(r, cols)).all():  # exact re-check of the staged filter
+        raise VerificationError((r, tuple(cols[ok.argmin()].tolist())))
+    six = np.column_stack([cols[:, :4], -cols[:, 4], np.full(len(cols), -1)])
+    return [TermTuple(r, tuple(row[:4]), row[4])
+            for row in cols[~_zero_sum_pairs(r, six)].tolist()]
 
 
 def terminal_bruteforce(r_max: int, jobs: int = 1) -> list[TermTuple]:

@@ -495,8 +495,12 @@ def test_rejected_value_says_what_is_wrong(capsys, argv, message):
 @pytest.mark.parametrize("argv, parameters", [
     (["regions", "s-grid", "--nmax", "12", "--jobs", "1"], {"nmax": 12}),
     (["regions", "vl-steps", "--from", "4", "--to", "4"], {"from": 4, "to": 4}),
-    (["regions", "cases", "--k", "4", "--case", "1..2", "--jobs", "1"], {"k": [4, 4]}),
-    (["regions", "system", "--gamma", "[[2,1]]"], {"pairs": [[2, 1]]}),
+    (["regions", "cases", "--k", "4", "--case", "1..2", "--jobs", "1"],
+     {"k": [4, 4], "case": [1, 2]}),
+    (["regions", "cases", "--k", "4", "--jobs", "1"], {"k": [4, 4], "case": [1, 10]}),
+    (["regions", "system", "--gamma", "[[2,1]]"], {"pairs": [[2, 1]], "unordered": False}),
+    (["regions", "system", "--gamma", "[[2,1]]", "--unordered"],
+     {"pairs": [[2, 1]], "unordered": True}),
     (["verify", "terminal", "--rmax", "8", "--jobs", "1"], {"rmax": 8}),
     (["verify", "fourfold", "--rmax", "12", "--jobs", "1"], {"rmax": 12}),
     (["verify", "transfer", "--tuple", "7:5,4,6,2:2", "--eps", "1/100"],

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ld_oracle, mld_oracle, traced_peak, transfer_oracle
+from conftest import fracsum_identity_oracle, ld_oracle, mld_oracle, traced_peak, transfer_oracle
 from mldlab import quotient, spectrum, verifiers
 from mldlab.qarith import VerificationError, sorted_tuples, units
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
@@ -72,22 +72,32 @@ def _paper_conclusion(t):
     return _pairs_off([a1, a2, a3, a4, -e % r, -1 % r], r)
 
 
+def test_zero_sum_pairs_match_every_matching():
+    # the closed-form pairing rule against a search over every perfect
+    # matching, on every six-tuple of residues with r <= 7
+    total = 0
+    for r in range(1, 8):
+        vals = list(itertools.product(range(r), repeat=6))
+        got = verifiers._zero_sum_pairs(r, np.array(vals, dtype=np.int64))
+        assert got.tolist() == [_pairs_off(list(v), r) for v in vals], r
+        total += len(vals)
+    assert total == 184820
+
+
 def test_terminal_conclusion_matches_paper_statement():
-    # under the gcd sides the library's single zero-sum matching says what
-    # the paper's two cases say, on every tuple with r <= 12
+    # under the gcd sides the library's pairing rule on a_1..a_4, -e, -1
+    # says what the paper's two cases say, on every tuple with r <= 12, in
+    # one batch per level
     total = false = 0
     for r in range(2, 13):
-        us = units(r)
-        for a1, a2, a3 in itertools.product(us, repeat=3):
-            for a4 in range(r):
-                for e in range(r):
-                    if math.gcd(a4, r) != math.gcd(e, r):
-                        continue
-                    t = TermTuple(r, (a1, a2, a3, a4), e)
-                    want = _paper_conclusion(t)
-                    assert verifiers._terminal_conclusion(t) == want, t
-                    total += 1
-                    false += not want
+        rows = [(a1, a2, a3, a4, e) for a1, a2, a3 in itertools.product(units(r), repeat=3)
+                for a4 in range(r) for e in range(r) if math.gcd(a4, r) == math.gcd(e, r)]
+        cols = np.array(rows, dtype=np.int64)
+        six = np.column_stack([cols[:, :4], -cols[:, 4], np.full(len(cols), -1)])
+        want = [_paper_conclusion(TermTuple(r, row[:4], row[4])) for row in rows]
+        assert verifiers._zero_sum_pairs(r, six).tolist() == want, r
+        total += len(want)
+        false += want.count(False)
     assert (total, false) == (124610, 122189)
 
 
@@ -106,15 +116,55 @@ def test_terminal_identity_reassertable(rng):
     assert hits > 0
 
 
+def _hypothesis_oracle(r, row):
+    a, e = row[:4], row[4]
+    return (not fracsum_identity_oracle(r, a, e) and math.gcd(a[3], r) == math.gcd(e, r)
+            and all(math.gcd(x, r) == 1 for x in a[:3]))
+
+
+def test_hypothesis_rows_match_the_oracle(rng):
+    # the batch re-check against the Fraction identity oracle and the gcd
+    # sides, on random rows, on rows (1, u, -u, x; x) that satisfy the
+    # hypothesis, on rows (d, u, -u, 1; d) whose identity holds with a_1
+    # possibly a non-unit (then gcd(a_4, r) != gcd(e, r) too: no row at
+    # r <= 12 breaks one gcd side alone with the identity holding), and on
+    # rows whose identity fails only at j = r - 1
+    by_r = {3: [(0, 0, 2, 2, 0)], 4: [(1, 1, 1, 2, 0)], 6: [(1, 1, 2, 3, 0)]}
+    for r, rows in by_r.items():
+        assert [fracsum_identity_oracle(r, row[:4], row[4]) for row in rows] == [[r - 1]]
+    for _ in range(300):
+        r = rng.randint(2, 30)
+        u, x, d = rng.choice(units(r)), rng.randrange(r), rng.randrange(r)
+        ones = [1, u, r - u]
+        rng.shuffle(ones)
+        by_r.setdefault(r, []).extend([tuple(rng.randrange(r) for _ in range(5)),
+                                       (*ones, x, x), (d, u, r - u, 1, d)])
+    kinds = set()
+    for r, rows in by_r.items():
+        want = [_hypothesis_oracle(r, row) for row in rows]
+        assert verifiers._hypothesis_rows(r, np.array(rows, dtype=np.int64)).tolist() == want, r
+        kinds |= {(ok, not fracsum_identity_oracle(r, row[:4], row[4]))
+                  for row, ok in zip(rows, want)}
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
 def test_terminal_bruteforce_small():
     assert terminal_bruteforce(12) == []
+
+
+def test_terminal_bruteforce_r60():
+    assert terminal_bruteforce(60) == []
+
+
+def _no_pairs(r, vals):
+    return np.zeros(len(vals), dtype=bool)
 
 
 def test_terminal_scan_keeps_every_survivor(monkeypatch):
     # with the conclusion forced false the scan returns every tuple its
     # stages keep; they must be, in order, exactly the hypothesis-satisfying
     # tuples of a scalar enumeration over every a_4 and every e
-    monkeypatch.setattr(verifiers, "_terminal_conclusion", lambda t: False)
+    monkeypatch.setattr(verifiers, "_zero_sum_pairs", _no_pairs)
     total = 0
     for r in range(2, 17):
         want = [t for a in itertools.combinations_with_replacement(units(r), 3)
@@ -126,13 +176,20 @@ def test_terminal_scan_keeps_every_survivor(monkeypatch):
 
 
 def test_terminal_scan_recheck_is_wired(monkeypatch):
-    # every survivor of the numpy stages goes through the scalar hypothesis
-    monkeypatch.setattr(verifiers, "_terminal_conclusion", lambda t: False)
+    # every survivor of the numpy stages goes through the batch re-check,
+    # and a single row it rejects fails the scan
+    monkeypatch.setattr(verifiers, "_zero_sum_pairs", _no_pairs)
     assert len(verifiers._terminal_scan_r(5)) == 27
-    monkeypatch.setattr(verifiers, "terminal_hypothesis",
-                        lambda t: verifiers.HypothesisCheck(False, "rejected"))
+    seen = []
+
+    def reject_last(r, cols):
+        seen.append(len(cols))
+        return np.arange(len(cols)) < len(cols) - 1
+
+    monkeypatch.setattr(verifiers, "_hypothesis_rows", reject_last)
     with pytest.raises(VerificationError):
         verifiers._terminal_scan_r(5)
+    assert seen == [27]
 
 
 def test_terminal_bruteforce_structured_family():
@@ -450,7 +507,7 @@ def test_batch_recheck_catches_a_wrong_floor(monkeypatch, module, run):
 
 def test_lift_check_survives_optimize():
     # the mld re-check in lift_to_fivefold, the batch re-check of the
-    # fivefold scan and the scalar re-check of the terminal scan must not
+    # fivefold scan and the batch re-check of the terminal scan must not
     # vanish under python -O
     script = "\n".join([
         "import numpy as np",
@@ -469,7 +526,7 @@ def test_lift_check_survives_optimize():
         "    verifiers._fivefold_scan_r(13, Fraction(1, 100), '4a')",
         "except VerificationError:",
         "    print('caught')",
-        "verifiers.terminal_hypothesis = lambda t: verifiers.HypothesisCheck(False)",
+        "verifiers._hypothesis_rows = lambda r, cols: np.zeros(len(cols), dtype=bool)",
         "try:",
         "    verifiers._terminal_scan_r(5)",
         "except VerificationError:",
