@@ -34,12 +34,13 @@ from .qarith import (TermTuple, VerificationError, first_fracsum_identity_failur
 from .quotient import CyclicQuotient, ld_numerators, mld, mld_argmin_batch
 
 
-def _levels(scan_r, r_max: int, jobs: int) -> list:
-    """scan_r(r) for every level r in [2, r_max] through `parallel_map`,
-    concatenated in r order."""
+def _levels(scan_r, r_max: int, jobs: int):
+    """(r, scan_r(r)) for every level r in [2, r_max] through `parallel_map`,
+    in r order."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    return [x for sub in parallel_map(scan_r, range(2, r_max + 1), jobs) for x in sub]
+    levels = range(2, r_max + 1)
+    return zip(levels, parallel_map(scan_r, levels, jobs))
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     Enumerates a_1 <= a_2 <= a_3 only: the hypothesis and the conclusion are
     both symmetric in the first three residues, so sorted enumeration finds a
     counterexample iff one exists.  Stage one solves the j = 1 identity for e
-    (it pins e = a_1+a_2+a_3+a_4 - r - 1); stage two runs the remaining j
+    (it pins e = a_1+a_2+a_3+a_4 - r - 1); stage two runs j in [2, r/2]
     with a shrinking mask; survivors get one exact all-j re-check.
     """
     triples = sorted_tuples(units(r), 3)
@@ -110,7 +111,11 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     e = s3[ti] + a4 - r - 1
     gcds = gcd_table(r)
     cols = np.column_stack([triples[ti], a4, e])[gcds[e] == gcds[a4]]
-    for j in range(2, r):
+    # after stage one the identity holds at r - j exactly when it holds at j:
+    # a unit x gives {(r-j)x/r} = 1 - {jx/r}, and a_4 and e (gcd-matched)
+    # vanish mod r at the same j, so the difference of the two sides only
+    # changes sign; stage one covers j = r - 1, so j <= r/2 decides the rest
+    for j in range(2, r // 2 + 1):
         lhs = ((cols[:, :4] * j) % r).sum(axis=1)
         rhs = (cols[:, 4] * j) % r + j + r
         cols = cols[lhs == rhs]
@@ -123,7 +128,7 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
 
 def terminal_bruteforce(r_max: int, jobs: int = 1) -> list[TermTuple]:
     """Scan all admissible tuples with r <= r_max; expected to return []."""
-    return _levels(_terminal_scan_r, r_max, jobs)
+    return [t for _, sub in _levels(_terminal_scan_r, r_max, jobs) for t in sub]
 
 
 def _fourfold_window_rows(r: int) -> np.ndarray:
@@ -157,7 +162,7 @@ def _fourfold_scan_r(r: int) -> list[tuple[Fraction, ...]]:
 
 def fourfold_gap_scan(r_max: int, jobs: int = 1) -> list[tuple[Fraction, ...]]:
     """Exhaustive denominator-r scan of the fourfold gap window; expected []."""
-    return _levels(_fourfold_scan_r, r_max, jobs)
+    return [v for _, sub in _levels(_fourfold_scan_r, r_max, jobs) for v in sub]
 
 
 @dataclass(frozen=True)
@@ -300,11 +305,11 @@ class FivefoldCandidate:
     mld: Fraction
 
 
-def _fivefold_scan_r(r: int, eps, condition: str) -> list[FivefoldCandidate]:
-    """The candidates at level r from the slab a_1 = 1: a unit u mod r keeps
-    the gcds, the linear homogeneous congruence fixing a_5, gcd(sum, r) and
-    the mld (ld of u*a at k is ld of a at u*k), and a_1 is a unit, so each
-    candidate is u times exactly one kept slab row."""
+def _fivefold_scan_r(r: int, eps, condition: str) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates at level r from the slab a_1 = 1, as `_unit_orbits`
+    arrays: a unit u mod r keeps the gcds, the linear homogeneous congruence
+    fixing a_5, gcd(sum, r) and the mld (ld of u*a at k is ld of a at u*k),
+    and a_1 is a unit, so each candidate is u times exactly one kept slab row."""
     u = np.asarray(units(r), dtype=np.int64)
     gcds = gcd_table(r)
     first, stop = window_bounds(r, 5 * r, Fraction(11, 6) + eps, 2)
@@ -325,28 +330,38 @@ def _fivefold_scan_r(r: int, eps, condition: str) -> list[FivefoldCandidate]:
     return _unit_orbits(r, np.vstack(rows), np.concatenate(numers), u)
 
 
-def _unit_orbits(r: int, W: np.ndarray, numer: np.ndarray, mults) -> list[FivefoldCandidate]:
-    """The rows m * W mod r for every m in ``mults``, in lexicographic order;
-    a floor-0 batch re-checks each against the numerator of its row of W, so a
-    wrong floored minimum or a multiplier that is not a unit raises."""
+def _unit_orbits(r: int, W: np.ndarray, numer: np.ndarray, mults) -> tuple[np.ndarray, np.ndarray]:
+    """The rows E = m * W mod r for every m in ``mults``, in lexicographic
+    order, and their mld numerators; a floor-0 batch re-checks each against
+    the numerator of its row of W, so a wrong floored minimum or a multiplier
+    that is not a unit raises."""
     E = (np.asarray(mults, dtype=np.int64)[:, None, None] * W % r).reshape(-1, W.shape[1])
     order = np.lexsort(E.T[::-1])  # the first column is the primary key
     E, numer = E[order], np.tile(numer, len(mults))[order]
     bad = np.flatnonzero(mld_argmin_batch(r, E)[0] != numer)
     if bad.size:
         raise VerificationError((r, tuple(E[bad[0]].tolist()), Fraction(int(numer[bad[0]]), r)))
-    return [FivefoldCandidate(CyclicQuotient(r, tuple(row)), Fraction(num, r))
+    return E, numer
+
+
+def _candidates(r: int, E: np.ndarray, numer: np.ndarray) -> list[FivefoldCandidate]:
+    """The FivefoldCandidates of one level's `_unit_orbits` arrays, sharing
+    one Fraction per distinct numerator."""
+    mlds = {num: Fraction(num, r) for num in np.unique(numer).tolist()}
+    return [FivefoldCandidate(CyclicQuotient(r, tuple(row)), mlds[num])
             for row, num in zip(E.tolist(), numer.tolist())]
 
 
 def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[FivefoldCandidate]:
     """Enumerate fivefold quotients passing the gcd/congruence hypotheses with
     mld in [11/6 + eps, 2).  The chosen congruence determines a_5, so the
-    enumeration runs over (a_1, a_2, a_3, a_4) only."""
+    enumeration runs over (a_1, a_2, a_3, a_4) only; the levels return
+    arrays, and the candidates are built here."""
     if condition not in _CONDITIONS:
         raise ValueError(f"condition must be one of {_CONDITIONS}")
     eps = window_eps(eps)
-    return _levels(partial(_fivefold_scan_r, eps=eps, condition=condition), r_max, jobs)
+    scan_r = partial(_fivefold_scan_r, eps=eps, condition=condition)
+    return [c for r, (E, numer) in _levels(scan_r, r_max, jobs) for c in _candidates(r, E, numer)]
 
 
 def thm35_hypotheses(X: CyclicQuotient, mu: int) -> tuple[bool, str]:

@@ -478,7 +478,9 @@ def test_unit_orbits_recheck_catches_a_non_unit():
     slab = [c for c in cands if c.X.weights[0] == 1]
     W = np.array([c.X.weights for c in slab])
     numer = np.array([int(c.mld * r) for c in slab], dtype=np.int64)
-    assert verifiers._unit_orbits(r, W, numer, units(r)) == cands
+    E, got = verifiers._unit_orbits(r, W, numer, units(r))
+    assert ([(tuple(row), Fraction(num, r)) for row, num in zip(E.tolist(), got.tolist())]
+            == [(c.X.weights, c.mld) for c in cands])
     with pytest.raises(VerificationError):
         verifiers._unit_orbits(r, W, numer, units(r) + [2])
 
@@ -495,7 +497,7 @@ def _wrong_floor(real):
 @pytest.mark.parametrize("module, run", [
     (spectrum, lambda: spectrum._scan_r(13, spectrum.ScanConfig(
         dim=3, r_max=13, lo=Fraction(5, 6), hi=Fraction(1)))),
-    (verifiers, lambda: verifiers._fivefold_scan_r(13, Fraction(1, 100), "4a")),
+    (verifiers, lambda: verifiers._fivefold_scan_r(13, Fraction(1, 100), "4a")[1].size),
 ], ids=["spectrum", "fivefold"])
 def test_batch_recheck_catches_a_wrong_floor(monkeypatch, module, run):
     # the floor-0 re-check over the kept rows is what guards the floor logic
