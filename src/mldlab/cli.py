@@ -120,18 +120,13 @@ def _cmd_mld(args) -> int:
 
 def _scan_config(args) -> ScanConfig:
     lo, hi = Fraction(0), None
-    include_lo, include_hi = True, False
     if args.interval is not None:
         parts = args.interval.split(",")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError("interval must be 'lo,hi'")
         lo, hi = _parse_rat(parts[0]), _parse_rat(parts[1])
-    if args.open_left:
-        include_lo = False
-    if args.closed_right:
-        include_hi = True
     return ScanConfig(dim=args.dim, r_max=args.rmax, lo=lo, hi=hi,
-                      include_lo=include_lo, include_hi=include_hi,
+                      include_lo=not args.open_left, include_hi=args.closed_right,
                       isolated_only=args.isolated, jobs=args.jobs)
 
 

@@ -8,6 +8,9 @@ the unit vectors; the interesting ones live in the box [0,1]^4.
 
 support_weight and gap_value take arbitrary rationals as Fractions; the
 Psi-partition works on integer numerators over r, with window_bounds thresholds.
+classify_type matches against the classification patterns of one table,
+`_PATTERNS`: each pattern is one entry, its parameter position and its
+residue 5-tuple together.
 """
 
 from __future__ import annotations
@@ -170,42 +173,33 @@ def identity5_check(r: int, a, e: int) -> list[int]:
     return fracsum_identity_failures(t.r, t.a, t.e)
 
 
+# The classification patterns, one entry each: tag -> (the position of the
+# unit parameter x in the residue 5-tuple, or None for a pattern without one;
+# the residue 5-tuple of (r, x), or None when a side condition on the parity
+# of r or a divisibility rules the pattern out).  As x lies in [1, r-1], a
+# matching target holds x itself at that position.
+_PATTERNS = {
+    "1a": (0, lambda r, x: (x, r - x, 1, 0, 0)),
+    "1b": (1, lambda r, x: (1, x, r - x, x + 1, x + 1) if math.gcd(x + 1, r) > 1 else None),
+    "1c": (0, lambda r, x: (x, 1, r - x, x + 1, x + 1) if math.gcd(x + 1, r) == 1 else None),
+    "1d": (0, lambda r, x:
+           (x, r - x - 1, r - x, x + 1, r - 1) if math.gcd(x + 1, r) == 1 else None),
+    "2a": (None, lambda r, x: (0, r // 2, r // 2, 0, 0) if r % 2 == 0 else None),
+    "2b": (None, lambda r, x: (1, (r + 2) // 2, (r - 2) // 2, 2, 2) if r % 4 == 0 else None),
+    "3a": (1, lambda r, x: (0, x, r - x, 1, 0)),
+    "3b": (0, lambda r, x: (x, r - x, 1, 2 * x, 2 * x) if r % 2 == 0 else None),
+    "3c": (1, lambda r, x: (1, x, r - x, 2, 2) if r % 2 == 0 else None),
+    "3d": (2, lambda r, x:
+           ((r - 1) // 2, (r + 1) // 2, x, r - x, r - 1) if r % 2 == 1 else None),
+    "3e": (0, lambda r, x: (x, r - x, 2 * x, 1, 2 * x) if r % 2 == 1 else None),
+    "3f": (1, lambda r, x: (1, x, r - x, 2, 2) if r % 2 == 1 else None),
+}
+TYPE_TAGS = tuple(_PATTERNS)
+
+
 def _pattern(tag: str, r: int, x: int | None):
-    """The residue 5-tuple of one classification pattern, or None if the side
-    conditions (parity of r, divisibility) rule the pattern out."""
-    if tag == "1a":
-        return (x, r - x, 1, 0, 0)
-    if tag == "1b":
-        return (1, x, r - x, x + 1, x + 1) if math.gcd(x + 1, r) > 1 else None
-    if tag == "1c":
-        return (x, 1, r - x, x + 1, x + 1) if math.gcd(x + 1, r) == 1 else None
-    if tag == "1d":
-        return (x, r - x - 1, r - x, x + 1, r - 1) if math.gcd(x + 1, r) == 1 else None
-    if tag == "2a":
-        return (0, r // 2, r // 2, 0, 0) if r % 2 == 0 else None
-    if tag == "2b":
-        return (1, (r + 2) // 2, (r - 2) // 2, 2, 2) if r % 4 == 0 else None
-    if tag == "3a":
-        return (0, x, r - x, 1, 0)
-    if tag == "3b":
-        return (x, r - x, 1, 2 * x, 2 * x) if r % 2 == 0 else None
-    if tag == "3c":
-        return (1, x, r - x, 2, 2) if r % 2 == 0 else None
-    if tag == "3d":
-        return ((r - 1) // 2, (r + 1) // 2, x, r - x, r - 1) if r % 2 == 1 else None
-    if tag == "3e":
-        return (x, r - x, 2 * x, 1, 2 * x) if r % 2 == 1 else None
-    if tag == "3f":
-        return (1, x, r - x, 2, 2) if r % 2 == 1 else None
-    raise ValueError(f"unknown pattern tag {tag}")
-
-
-# Where each pattern's unit parameter x sits bare in its residue 5-tuple
-# (None: the pattern has no parameter).  As x lies in [1, r-1], a matching
-# target holds x itself at that coordinate.
-_PARAMETER_AT = {"1a": 0, "1b": 1, "1c": 0, "1d": 0, "2a": None, "2b": None,
-                 "3a": 1, "3b": 0, "3c": 1, "3d": 2, "3e": 0, "3f": 1}
-TYPE_TAGS = tuple(_PARAMETER_AT)
+    """The residue 5-tuple of one pattern, or None if a side condition rules it out."""
+    return _PATTERNS[tag][1](r, x)
 
 
 def classify_type(r: int, a, e: int, all_matches: bool = False):
@@ -219,7 +213,7 @@ def classify_type(r: int, a, e: int, all_matches: bool = False):
     t = TermTuple(r, a, e)
     target = t.a + (t.e,)
     matches = []
-    for tag, at in _PARAMETER_AT.items():
+    for tag, (at, _) in _PATTERNS.items():
         x = None if at is None else target[at]
         if x is not None and math.gcd(x, r) != 1:
             continue

@@ -78,7 +78,11 @@ def _ld_table_sum(r: int, values: np.ndarray, rows: np.ndarray, ks: np.ndarray) 
 
 
 def _distinct(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct entries of C and, shaped as C, each one's index: one sort."""
+    """Sorted distinct entries of C and, shaped as C, each one's index: one sort.
+
+    Hand-rolled because np.unique(C, return_inverse=True) is about 4x slower
+    on a scan level: 0.65 ms against 0.16 ms on the 4,754 rows of r = 97 at
+    dim 3 (best of 7 x 50 calls on a shared 2-core host)."""
     s = np.sort(C, axis=None)
     new = np.empty(s.size, dtype=bool)
     new[:1] = True
@@ -167,7 +171,7 @@ def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.nd
     while k < r and live.size:
         ks = np.arange(k, min(k + max(1, _K_CHUNK // live.size), r), dtype=np.int64)
         R, used = rows[:, live], np.zeros(values.size, dtype=bool)
-        used[R] = True  # the table covers the weights of the rows left only
+        used[R] = True  # remap to the rows left: keeps the table small once few are left
         s = _ld_table_sum(r, values[used], (used.cumsum() - 1)[R], ks)
         i = s.argmin(axis=1)  # the first minimum of each row in the chunk
         s = s[np.arange(live.size), i]

@@ -11,9 +11,11 @@ cell the floor sum is constant, so membership is decided exactly.
 Refinement runs in Python ints on one scale L per system, the lcm of the
 moduli n and of the initial endpoint denominators: v is held as v*L, so
 floor(n*v) is n*(v*L) // L; one fold (`_fold`) applies every constraint
-list, from a single constraint to a whole system.  There is no floating
-point anywhere, so an "empty" verdict is a proof of emptiness for the given
-system.
+list, from a single constraint to a whole system.  Constraint pairs stay
+integer (n, c) tuples from `gamma_of_interval` through `GammaSet` and the
+fold to the certificate; `FloorConstraint` is only the argument type of
+`constraint_refine`.  There is no floating point anywhere, so an "empty"
+verdict is a proof of emptiness for the given system.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class FloorConstraint:
             raise ValueError("n must be at least 2")
         if self.c < 1:
             raise ValueError("c must be at least 1")
-
-    @property
-    def target(self) -> int:
-        return self.n - 1 - self.c
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,7 @@ class BoxUnion:
 
 
 def unit_cube(ordered_simplex: bool = True) -> BoxUnion:
-    one = Fraction(1)
-    zero = Fraction(0)
-    return BoxUnion((Box(((zero, one), (zero, one), (zero, one))),), ordered_simplex)
+    return BoxUnion((Box(((0, 1),) * 3),), ordered_simplex)
 
 
 def _on_scale(U: BoxUnion, moduli):
@@ -174,9 +170,9 @@ def _union(scale: int, boxes, ordered_simplex: bool) -> BoxUnion:
                           for box in boxes), ordered_simplex)
 
 
-def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
-            limit: int) -> list:
-    """The refinement step on integer boxes over `scale` (a multiple of fc.n).
+def _refine(boxes, scale: int, n: int, c: int, ordered_simplex: bool, limit: int) -> list:
+    """The refinement step by the pair (n, c) on integer boxes over `scale`
+    (a multiple of n).
 
     With s = scale/n, the cell m of an axis is [m*s, (m+1)*s), on which
     floor(n*v) = m.  Each axis-1 cell visits only the axis-2 cells whose
@@ -184,7 +180,7 @@ def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
     cell also needs a greedy corner.  The output keeps the order (box, m1,
     m2); BoxLimitExceeded is raised once it exceeds the box budget.
     """
-    s, target = scale // fc.n, fc.target
+    s, target = scale // n, n - 1 - c
     out = []
     for (l1, h1), (l2, h2), (l3, h3) in boxes:
         lo2, hi2 = l2 // s, (h2 - 1) // s
@@ -200,8 +196,7 @@ def _refine(boxes, scale: int, fc: FloorConstraint, ordered_simplex: bool,
                 out.append(cell)
                 if len(out) > limit:
                     raise BoxLimitExceeded(
-                        f"more than {limit} boxes while refining against "
-                        f"(n={fc.n}, c={fc.c})")
+                        f"more than {limit} boxes while refining against (n={n}, c={c})")
     return out
 
 
@@ -212,11 +207,17 @@ def _fold(U: BoxUnion, pairs, limit: int):
     scale, boxes = _on_scale(U, [n for n, _ in pairs])
     counts: list[int] = []
     for n, c in pairs:
-        boxes = _refine(boxes, scale, FloorConstraint(n, c), U.ordered_simplex, limit)
+        boxes = _refine(boxes, scale, n, c, U.ordered_simplex, limit)
         counts.append(len(boxes))
         if not boxes:
             break
     return scale, boxes, counts
+
+
+def _refined(U: BoxUnion, pairs, limit: int) -> BoxUnion:
+    """U refined by each (n, c) of `pairs` in order, as a BoxUnion."""
+    scale, boxes, _ = _fold(U, pairs, limit)
+    return _union(scale, boxes, U.ordered_simplex)
 
 
 def constraint_refine(U: BoxUnion, fc: FloorConstraint,
@@ -227,8 +228,7 @@ def constraint_refine(U: BoxUnion, fc: FloorConstraint,
     sub-boxes with floor sum equal to the target survive.  Raises
     BoxLimitExceeded when the output would exceed the box budget.
     """
-    scale, boxes, _ = _fold(U, ((fc.n, fc.c),), limit)
-    return _union(scale, boxes, U.ordered_simplex)
+    return _refined(U, ((fc.n, fc.c),), limit)
 
 
 @dataclass(frozen=True)
@@ -284,28 +284,26 @@ def gamma_of_interval(a, b, n_max: int) -> GammaSet:
     """Constraint pairs attached to the open interval (a, b), capped at n <= n_max.
 
     For finite b: all (n, c) with n >= 2 and (c-1)*b + 1 <= n <= c*a - 1.
-    For b = None (infinity): c = 1 and 2 <= n <= a - 1.
+    For b = None (infinity): c = 1 and 2 <= n <= a - 1.  With a = p/q and
+    b = u/v in lowest terms, each c's range of n is found by integer floor
+    and ceiling division.
     """
     a = Fraction(a)
     if a <= 1:
         raise ValueError("left endpoint must exceed 1")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    pairs = []
+    p, q = a.numerator, a.denominator
     if b is None:
-        hi = min(n_max, math.floor(a - 1))
-        pairs = [(n, 1) for n in range(2, hi + 1)]
-        return GammaSet(tuple(pairs))
+        return GammaSet(tuple((n, 1) for n in range(2, min(n_max, p // q - 1) + 1)))
     b = Fraction(b)
     if b <= a:
         raise ValueError("need a < b")
-    c = 1
-    while (c - 1) * b + 1 <= n_max:
-        lo = max(2, math.ceil((c - 1) * b + 1))
-        hi = min(n_max, math.floor(c * a - 1))
-        pairs.extend((n, c) for n in range(lo, hi + 1))
-        c += 1
-    return GammaSet(tuple(pairs))
+    u, v = b.numerator, b.denominator
+    # c runs while (c-1)*b + 1 <= n_max; n from ceil((c-1)*b) + 1 to floor(c*a) - 1
+    return GammaSet(tuple((n, c) for c in range(1, (n_max - 1) * v // u + 2)
+                          for n in range(max(2, -(-(c - 1) * u // v) + 1),
+                                         min(n_max, c * p // q - 1) + 1)))
 
 
 def vl_box(l: int) -> BoxUnion:
@@ -342,8 +340,7 @@ def boxunion_equal(A: BoxUnion, B: BoxUnion) -> bool:
 def verify_vl_step(l: int, limit: int = DEFAULT_BOX_LIMIT) -> bool:
     """Check that refining the level-l box by its three constraints gives level l+1."""
     pairs = ((6 * l + 4, l + 1), (6 * l + 5, l + 1), (6 * l + 8, l + 2))
-    scale, boxes, _ = _fold(vl_box(l), pairs, limit)
-    return boxunion_equal(_union(scale, boxes, True), vl_box(l + 1))
+    return boxunion_equal(_refined(vl_box(l), pairs, limit), vl_box(l + 1))
 
 
 def shared_case_constraints(k: int) -> GammaSet:
@@ -380,8 +377,7 @@ def case_boxes(k: int) -> BoxUnion:
 
 def case_initial_region(k: int, limit: int = DEFAULT_BOX_LIMIT) -> BoxUnion:
     """The four-box union for level k, refined by the ten shared constraints."""
-    scale, boxes, _ = _fold(case_boxes(k), shared_case_constraints(k).pairs, limit)
-    return _union(scale, boxes, True)
+    return _refined(case_boxes(k), shared_case_constraints(k).pairs, limit)
 
 
 def case_constraints(k: int, case_id: int) -> GammaSet:

@@ -343,7 +343,7 @@ def test_classify_type_builds_each_pattern_once(monkeypatch):
     monkeypatch.setattr(hyperquot, "_pattern",
                         lambda *args: calls.append(args) or real(*args))
     assert classify_type(10007, (5, 7, 1, 0), 0, all_matches=True) == []
-    assert len(calls) <= 12
+    assert 1 <= len(calls) <= 12  # at least one: a classify_type that bypasses _pattern fails
 
 
 def test_two_monomials_examples():

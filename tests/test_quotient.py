@@ -198,6 +198,17 @@ def test_kernel_memory_does_not_grow_with_r():
     assert peak < 8 * quotient._K_CHUNK * (d + 5)
 
 
+def test_floored_batch_table_covers_the_rows_left_only():
+    # 200 rows of 600 distinct weights all fall below the floor in the first
+    # step, leaving the zero row (r*ld = 3r at every k) for the rest: a table
+    # kept over every distinct weight would hold 601 rows of a full k chunk
+    r = 65_537
+    W = np.vstack([np.arange(1, 601).reshape(200, 3), np.zeros((1, 3), dtype=np.int64)])
+    (numer, _), peak = traced_peak(lambda: mld_argmin_batch(r, W, floor=3 * r))
+    assert numer[-1] == 3 * r and (numer[:-1] < 3 * r).all()
+    assert peak < 4 * 2**20
+
+
 def test_ld_numerators_int64_limit():
     X = CyclicQuotient(10**10, (1, 2, 3))
     for call in (lambda: mld(X), lambda: mld_argmin(X), lambda: toroidal_ld(X, 5),

@@ -11,7 +11,7 @@ from mldlab.qarith import VerificationError
 from mldlab.regions import (Box, BoxLimitExceeded, BoxUnion, FloorConstraint,
                             GammaSet, boxunion_equal, case_boxes,
                             case_initial_region, constraint_refine,
-                            gamma_of_interval, system_empty, unit_cube,
+                            gamma_of_interval, s_grid_intervals, system_empty, unit_cube,
                             verify_case, verify_s_grid, verify_vl_step, vl_box)
 
 
@@ -27,11 +27,18 @@ def test_gamma_of_interval_bounded():
 
 
 def test_gamma_of_interval_fractional_endpoints():
-    # oracle: direct scan of the defining inequalities
-    a, b, n_max = Fraction(6), Fraction(25, 4), 30
-    expected = {(n, c) for n in range(2, n_max + 1) for c in range(1, 40)
-                if (c - 1) * b + 1 <= n <= c * a - 1}
-    assert set(gamma_of_interval(a, b, n_max)) == expected
+    # oracle: direct scan of the defining inequalities, on one hand-picked
+    # interval and on every grid interval at caps around and past the suites'
+    cases = [(Fraction(6), Fraction(25, 4), 30)] + [
+        (a, b, n_max) for n_max in (2, 3, 50, 100, 120) for a, b in s_grid_intervals()]
+    for a, b, n_max in cases:
+        if b is None:
+            expected = {(n, 1) for n in range(2, n_max + 1) if n <= a - 1}
+        else:  # (c - 1) * b + 1 <= n <= n_max forces c <= n_max, as b > 1
+            bounds = [(c, (c - 1) * b + 1, c * a - 1) for c in range(1, n_max + 1)]
+            expected = {(n, c) for c, lo, hi in bounds for n in range(2, n_max + 1)
+                        if lo <= n <= hi}
+        assert set(gamma_of_interval(a, b, n_max)) == expected, (a, b, n_max)
 
 
 def test_gamma_domain_errors():
