@@ -6,8 +6,9 @@ on the support and on the diagonal cyclic action (r; a_1..a_4) with character
 e.  Weights are rational vectors in the lattice generated by (a_1..a_4)/r and
 the unit vectors; the interesting ones live in the box [0,1]^4.
 
-support_weight and gap_value take arbitrary rationals as Fractions; the
-Psi-partition works on integer numerators over r, with window_bounds thresholds.
+A box weight is its integer numerators over r, and Fractions are made only
+when its `coords` are read; support_weight and gap_value take any rationals,
+the Psi-partition works on the numerators with window_bounds thresholds.
 classify_type matches against the classification patterns of one table,
 `_PATTERNS`: each pattern is one entry, its parameter position and its
 residue 5-tuple together.
@@ -61,15 +62,21 @@ class HyperquotientDatum(TermTuple):
 
 @dataclass(frozen=True)
 class LatticeWeight:
-    """A rational weight vector in [0,1]^4 with its generating class index."""
+    """A weight numers/r in [0,1]^4 (ints numers in [0, r]) with its class index."""
 
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
+    numers: tuple[int, int, int, int]
+    r: int
     class_index: int
     primitive: bool
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The weight as Fractions numers_i / r, made on each read."""
+        return tuple(Fraction(x, self.r) for x in self.numers)
+
     def primed(self) -> tuple[Fraction, ...]:
         """The involution image (1,1,1,1) - coords."""
-        return tuple(1 - c for c in self.coords)
+        return tuple(Fraction(self.r - x, self.r) for x in self.numers)
 
 
 def _coords(w):
@@ -101,31 +108,24 @@ def _is_primitive(numers: tuple[int, ...], r: int, alpha_patterns: frozenset) ->
     return True
 
 
-def _box_weights(r: int, a) -> list[tuple[tuple[int, ...], LatticeWeight]]:
-    """(numerators over r, weight) for every weight of enumerate_N0, in its order."""
-    a = TermTuple(r, a, 0).a
-    alpha_patterns = frozenset(tuple(j * x % r for x in a) for j in range(r))
-    fracs = [Fraction(x, r) for x in range(r + 1)]
-    found: dict[tuple[int, ...], LatticeWeight] = {}
-    for j in range(1, r):
-        base = tuple(j * x % r for x in a)
-        # a zero coordinate may also be lifted to 1, i.e. numerator r
-        for numers in itertools.product(*((0, r) if x == 0 else (x,) for x in base)):
-            if all(x in (0, r) for x in numers) or numers in found:
-                continue  # a corner of {0,1}^4, or emitted by a smaller class
-            found[numers] = LatticeWeight(tuple(fracs[x] for x in numers), j,
-                                          _is_primitive(numers, r, alpha_patterns))
-    return sorted(found.items())
-
-
 def enumerate_N0(r: int, a) -> list[LatticeWeight]:
-    """All lattice weights in [0,1]^4 off the corner set {0,1}^4.
+    """All lattice weights in [0,1]^4 off the corners {0,1}^4, by ascending numerators.
 
     For each class j in [1, r-1] the base vector has coordinates {j*a_i/r};
     zero coordinates may also be lifted to 1.  Duplicates arising from
     different classes are emitted once (smallest class index wins).
     """
-    return [w for _, w in _box_weights(r, a)]
+    a = TermTuple(r, a, 0).a
+    alpha_patterns = frozenset(tuple(j * x % r for x in a) for j in range(r))
+    found: dict[tuple[int, ...], int] = {}
+    for j in range(1, r):
+        base = tuple(j * x % r for x in a)
+        # a zero coordinate may also be lifted to 1, i.e. numerator r
+        for numers in itertools.product(*((0, r) if x == 0 else (x,) for x in base)):
+            if not all(x in (0, r) for x in numers):  # off the corners of {0,1}^4
+                found.setdefault(numers, j)
+    return [LatticeWeight(numers, r, j, _is_primitive(numers, r, alpha_patterns))
+            for numers, j in sorted(found.items())]
 
 
 def gap_value(w, d: HyperquotientDatum) -> Fraction:
@@ -152,19 +152,19 @@ def psi_classify(d: HyperquotientDatum, eps) -> PsiPartition:
     G/r with G = sum(n) - min over the support of sum_i n_i*alpha_i."""
     eps = window_eps(eps)
     r = d.r
-    weights = _box_weights(r, d.a)
+    weights = enumerate_N0(r, d.a)
     violator = semi_invariant_check(d)
-    if violator is not None and any(w.primitive for _, w in weights):
+    if violator is not None and any(w.primitive for w in weights):
         raise ValueError(f"support is not semi-invariant: {violator}")
-    first, stop = window_bounds(r, 4 * r, Fraction(5, 6) + eps, 1, True, False)
-    psi1 = [(n, w) for n, w in weights if w.primitive and first <= sum(n) - min(
-        sum(map(mul, n, alpha)) for alpha in d.support.exponents) < stop]
-    in_psi1 = {n for n, _ in psi1}
-    by_numers = dict(weights)
-    mates = (tuple(r - x for x in n) for n, _ in psi1)
+    first, stop = window_bounds(r, 4 * r, Fraction(5, 6) + eps, 1)
+    psi1 = [w for w in weights if w.primitive and first <= sum(w.numers) - min(
+        sum(map(mul, w.numers, alpha)) for alpha in d.support.exponents) < stop]
+    in_psi1 = {w.numers for w in psi1}
+    by_numers = {w.numers: w for w in weights}
+    mates = (tuple(r - x for x in w.numers) for w in psi1)
     psi2 = {m: by_numers[m] for m in mates if m in by_numers and m not in in_psi1}
-    rest = [w for n, w in weights if n not in in_psi1 and n not in psi2]
-    return PsiPartition(tuple(w for _, w in psi1), tuple(psi2.values()), tuple(rest))
+    rest = [w for w in weights if w.numers not in in_psi1 and w.numers not in psi2]
+    return PsiPartition(tuple(psi1), tuple(psi2.values()), tuple(rest))
 
 
 def identity5_check(r: int, a, e: int) -> list[int]:

@@ -11,9 +11,10 @@ Multiplying through by r turns ld(k) into the integer
 
     r * ld(k) = sum_i ((a_i*k) mod r, with 0 read as r),
 
-so the whole computation runs in exact integer arithmetic.  One int64
-kernel, `_ld_table_sum`, evaluates it for a block of k and a block of rows
-given as positions into their sorted distinct weights, through one table of
+so the whole computation runs in exact integer arithmetic.  Reading a zero
+residue as r is the kernel's convention alone.  One int64 kernel,
+`_ld_table_sum`, evaluates it for a block of k and a block of rows given as
+positions into their sorted distinct weights, through one table of
 (v*k - 1) mod r: a scan level has thousands of rows but at most r residues.
 `ld_numerators` and `mld_argmin_batch`, the one loop over chunks of k, call it.
 """

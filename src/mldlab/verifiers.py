@@ -7,7 +7,8 @@ Four families of checks live here:
   the conclusion is that a_1, a_2, a_3, a_4, -e, -1 pair into zero sums mod r),
 * the fourfold discrepancy-gap scan (`fourfold_gap_scan`),
 * the transfer classifier turning four weights plus a character into a
-  fivefold quotient (`transfer_classify` / `lift_to_fivefold`), and
+  fivefold quotient (`transfer_classify` / `lift_to_fivefold`), which tests
+  Gamma and the dichotomy on plain residues k*a_i mod r, and
 * desk-scale fivefold candidate scans (`fivefold_scan`, `thm35_hypotheses`).
 
 The exhaustive scans build numpy rows, each sorted tuple extended by the range
@@ -31,7 +32,7 @@ from . import quotient
 from .pool import parallel_map
 from .qarith import (TermTuple, VerificationError, first_fracsum_identity_failure, gcd_table,
                      ragged_ranges, sorted_tuples, units, window_bounds, window_eps)
-from .quotient import CyclicQuotient, ld_numerators, mld, mld_argmin_batch
+from .quotient import CyclicQuotient, mld, mld_argmin_batch
 
 
 def _levels(scan_r, r_max: int, jobs: int):
@@ -206,15 +207,13 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
     if not (alt1 or alt2 or alt3):
         return report("no pair congruence holds")
 
+    quotient._check_int64_safe(r)
     first, _ = window_bounds(r, r, Fraction(5, 6) + eps)
     gamma = []
     for start in range(1, r, quotient._K_CHUNK):
         ks = np.arange(start, min(start + quotient._K_CHUNK, r), dtype=np.int64)
-        lhs = ld_numerators(r, [a], ks)[0]
+        lhs = sum(ks * x % r for x in a)  # r * sum_i {a_i*k/r}
         ek = ks * e % r
-        # a_1..a_3 are units and gcd(a_4, r) = gcd(e, r), so only a_4*k can
-        # vanish mod r, exactly when e*k does; r*ld(k) reads that zero as r
-        lhs -= r * (ek == 0)
         member = lhs == ek + ks
         bad = np.where(member, ks < first, lhs <= ek + r)
         if bad.any():  # the first bad k ends the scan, as in a loop over k

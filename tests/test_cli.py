@@ -1,8 +1,10 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +339,8 @@ def _usage_error(capsys, argv):
     ["mld", "--r", "10000000000", "--w", "1,2,3"],
     # passes every hypothesis checked before the scan over k
     ["verify", "transfer", "--tuple", "10000000001:1,1,1,2:4", "--eps", "1/100"],
+    # the first r beyond the limit: the transfer guard sits before the scan over k
+    ["verify", "transfer", "--tuple", "3000000001:1,1,1,2:4", "--eps", "1/100"],
     # beyond int64 itself, for r and for a weight: the limit is checked first
     ["mld", "--r", "100000000000000000000", "--w", "1,2,3"],
     ["mld", "--r", "100000000000000000000", "--w", "99999999999999999999,2,3"],
@@ -542,3 +546,30 @@ def test_process_exit_status(env, argv, code):
                           env={**package_env(), **env}, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == code, done.stderr[-2000:]
+
+
+# README commands whose comment states an output: (the command after "mldlab",
+# the text its comment states, the exit code, a check of stdout)
+_README_CLAIMS = [
+    ("mld --r 13 --w 3,4,5", '"12/13 (k=1)"', 0, lambda out: out.strip() == "12/13 (k=1)"),
+    ("mld --r 1 --w 0,0,0", '"3"', 0, lambda out: out.strip() == "3"),
+    ("hyperquot type --r 11 --a 3,8,1,0 --e 0", '"1a a=3"', 0,
+     lambda out: out.strip() == "1a a=3"),
+    ("hyperquot identity5 --r 5 --a 2,3,1,0 --e 0", '"ok"', 0, lambda out: out.strip() == "ok"),
+    ("regions system --gamma '[[2,1]]' --expect-empty", "exit 1: witness (0,0,0)", 1,
+     lambda out: json.loads(out)["payload"]["witness"] == ["0", "0", "0"]),
+    ("verify fivefold --rmax 13 --eps 1/100 --cond 4a", "1,016 candidates", 0,
+     lambda out: json.loads(out)["payload"]["count"] == 1016),
+    ("verify terminal --rmax 30", "zero counterexamples", 0,
+     lambda out: json.loads(out)["payload"]["count"] == 0),
+]
+
+
+@pytest.mark.parametrize("command, stated, code, holds", _README_CLAIMS,
+                         ids=[claim[0] for claim in _README_CLAIMS])
+def test_readme_commands_print_what_they_state(capsys, command, stated, code, holds):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for line in readme.splitlines() if line.startswith(f"mldlab {command} ")]
+    assert len(lines) == 1 and stated in lines[0].partition(" # ")[2]
+    got, out = run_cli(capsys, *shlex.split(command))
+    assert got == code and holds(out)

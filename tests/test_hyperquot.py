@@ -85,7 +85,11 @@ def test_enumerate_N0_box_membership(rng):
     for _ in range(40):
         r = rng.randint(2, 20)
         a = tuple(rng.randrange(r) for _ in range(4))
-        for w in enumerate_N0(r, a):
+        n0 = enumerate_N0(r, a)
+        assert [w.numers for w in n0] == sorted(w.numers for w in n0)
+        for w in n0:
+            assert w.r == r
+            assert w.coords == tuple(Fraction(n, r) for n in w.numers)
             j = w.class_index
             for c, ai in zip(w.coords, a):
                 assert (c - Fraction(j * ai, r)).denominator == 1

@@ -305,6 +305,9 @@ def test_transfer_hypothesis_failures():
     # weight sum incongruent to e + 1
     rep = transfer_classify(TermTuple(7, (2, 3, 1, 0), 0), Fraction(1, 100))
     assert not rep.hypothesis_ok and "mod r" in rep.failure
+    # a failed hypothesis is reported before the int64 guard on r
+    rep = transfer_classify(TermTuple(10000000002, (2, 1, 1, 2), 4), Fraction(1, 100))
+    assert not rep.hypothesis_ok and rep.failure == "gcd(a1, r) != 1"
     # genuine dichotomy violation (found by exhaustive search): all gcd and
     # congruence hypotheses hold but the excess at k=25 is too small
     rep = transfer_classify(TermTuple(26, (15, 21, 23, 24), 4), Fraction(1, 100))
