@@ -34,7 +34,7 @@ from . import quotient
 from .pool import parallel_map
 from .qarith import (VerificationError, format_rat, gcd_table, sorted_tuples, units,
                      window_bounds)
-from .quotient import CyclicQuotient, mld, mld_argmin_batch
+from .quotient import CyclicQuotient, mld, mld_argmin_batch, residues
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def _canonical_rows(r: int, W: np.ndarray) -> np.ndarray:
     out = np.empty_like(W)
     step = max(1, quotient._K_CHUNK // us.size)
     for start in range(0, len(W), step):
-        B = W[start:start + step, None, :] * us[:, None] % r
+        B = residues(W[start:start + step, None, :] * us[:, None], r)
         B.sort(axis=2)
         cand = np.ones(B.shape[:2], dtype=bool)
         for c in range(B.shape[2]):

@@ -9,7 +9,7 @@ Four families of checks live here:
 * the transfer classifier turning four weights plus a character into a
   fivefold quotient (`transfer_classify` / `lift_to_fivefold`), which tests
   Gamma and the dichotomy on plain residues k*a_i mod r, and
-* desk-scale fivefold candidate scans (`fivefold_scan`, `thm35_hypotheses`).
+* desk-scale fivefold candidate scans (`fivefold_scan`).
 
 The exhaustive scans build numpy rows, each sorted tuple extended by the range
 of last coordinates its window allows (`qarith.ragged_ranges`), and filter them
@@ -32,7 +32,7 @@ from . import quotient
 from .pool import parallel_map
 from .qarith import (TermTuple, VerificationError, first_fracsum_identity_failure, gcd_table,
                      ragged_ranges, sorted_tuples, units, window_bounds, window_eps)
-from .quotient import CyclicQuotient, mld, mld_argmin_batch
+from .quotient import CyclicQuotient, mld, mld_argmin_batch, residues
 
 
 def _levels(scan_r, r_max: int, jobs: int):
@@ -69,9 +69,10 @@ def _hypothesis_rows(r: int, cols: np.ndarray) -> np.ndarray:
     [0, r): the identity at every j in [1, r-1] in one (N, r-1) evaluation,
     a weight column at a time, then the gcd sides."""
     j = np.arange(1, r, dtype=np.int64)
-    gap = np.multiply.outer(cols[:, 4], j) % r + j + r  # the identity holds where gap ends at 0
+    # the identity holds where gap ends at 0
+    gap = residues(np.multiply.outer(cols[:, 4], j), r) + j + r
     for i in range(4):
-        gap -= np.multiply.outer(cols[:, i], j) % r
+        gap -= residues(np.multiply.outer(cols[:, i], j), r)
     g = np.gcd(cols, r)
     return ~gap.any(axis=1) & (g[:, :3] == 1).all(axis=1) & (g[:, 3] == g[:, 4])
 
@@ -117,8 +118,8 @@ def _terminal_scan_r(r: int) -> list[TermTuple]:
     # vanish mod r at the same j, so the difference of the two sides only
     # changes sign; stage one covers j = r - 1, so j <= r/2 decides the rest
     for j in range(2, r // 2 + 1):
-        lhs = ((cols[:, :4] * j) % r).sum(axis=1)
-        rhs = (cols[:, 4] * j) % r + j + r
+        lhs = residues(cols[:, :4] * j, r).sum(axis=1)
+        rhs = residues(cols[:, 4] * j, r) + j + r
         cols = cols[lhs == rhs]
     if not (ok := _hypothesis_rows(r, cols)).all():  # exact re-check of the staged filter
         raise VerificationError((r, tuple(cols[ok.argmin()].tolist())))
@@ -212,8 +213,8 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
     gamma = []
     for start in range(1, r, quotient._K_CHUNK):
         ks = np.arange(start, min(start + quotient._K_CHUNK, r), dtype=np.int64)
-        lhs = sum(ks * x % r for x in a)  # r * sum_i {a_i*k/r}
-        ek = ks * e % r
+        res = residues(np.multiply.outer(np.array((*a, e), dtype=np.int64), ks), r)
+        lhs, ek = res[:4].sum(axis=0), res[4]  # lhs = r * sum_i {a_i*k/r}
         member = lhs == ek + ks
         bad = np.where(member, ks < first, lhs <= ek + r)
         if bad.any():  # the first bad k ends the scan, as in a loop over k
@@ -275,13 +276,15 @@ def transfer_family_instance(k: int, m: int = 1, arrangement: int = 0):
     return t, eps
 
 
-def lift_to_fivefold(t: TermTuple, eps) -> CyclicQuotient:
+def lift_to_fivefold(t: TermTuple, eps, rep: TransferReport | None = None) -> CyclicQuotient:
     """The fivefold quotient 1/r(a_1..a_4, r-e) attached to a case-2 tuple.
 
     Its mld equals 1 + k_1/r for the least k_1 in Gamma with r not dividing
     e*k_1; the equality is checked against the exhaustive mld formula.
+    ``rep`` is transfer_classify(t, eps) when the caller already holds it.
     """
-    rep = transfer_classify(t, eps)
+    if rep is None:
+        rep = transfer_classify(t, eps)
     if rep.case_tag != "case2":
         raise ValueError(f"tuple is not case 2 for eps={eps} (got {rep.case_tag})")
     r = t.r
@@ -334,7 +337,7 @@ def _unit_orbits(r: int, W: np.ndarray, numer: np.ndarray, mults) -> tuple[np.nd
     order, and their mld numerators; a floor-0 batch re-checks each against
     the numerator of its row of W, so a wrong floored minimum or a multiplier
     that is not a unit raises."""
-    E = (np.asarray(mults, dtype=np.int64)[:, None, None] * W % r).reshape(-1, W.shape[1])
+    E = residues(np.asarray(mults, dtype=np.int64)[:, None, None] * W, r).reshape(-1, W.shape[1])
     order = np.lexsort(E.T[::-1])  # the first column is the primary key
     E, numer = E[order], np.tile(numer, len(mults))[order]
     bad = np.flatnonzero(mld_argmin_batch(r, E)[0] != numer)
@@ -362,38 +365,3 @@ def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[Fivefo
     scan_r = partial(_fivefold_scan_r, eps=eps, condition=condition)
     return [c for r, (E, numer) in _levels(scan_r, r_max, jobs) for c in _candidates(r, E, numer)]
 
-
-def thm35_hypotheses(X: CyclicQuotient, mu: int) -> tuple[bool, str]:
-    """Check the window hypotheses at sharpness level mu.
-
-    Requires dim 5.  The level k is the largest non-negative integer with
-    60k + 100 <= mu; the checks are v_4 < 1/mu, v_5 > 1 - 1/mu, no n <= mu
-    with n*v_i integral, and the mld equal to the coordinate sum inside
-    (1 + (5k+6)/(6k+7), 2).
-    """
-    if X.dim != 5:
-        raise ValueError("a dimension-5 quotient is required")
-    if mu < 2:
-        raise ValueError("mu must be at least 2")
-    if mu < 100:
-        return False, "mu < 100 admits no level k with 60k + 100 <= mu"
-    k = (mu - 100) // 60
-    r = X.r
-    for i, a in enumerate(X.weights):
-        if a == 0:
-            return False, f"v_{i + 1} = 0"
-        order = r // math.gcd(a, r)
-        if order <= mu:
-            return False, f"n*v_{i + 1} is a positive integer at n={order}"
-    v = [Fraction(a, r) for a in X.weights]
-    if not v[3] < Fraction(1, mu):
-        return False, "v4 window"
-    if not v[4] > 1 - Fraction(1, mu):
-        return False, "v5 window"
-    total = sum(v)
-    if mld(X) != total:
-        return False, "mld is not attained by the coordinate sum"
-    lo = 1 + Fraction(5 * k + 6, 6 * k + 7)
-    if not lo < total < 2:
-        return False, f"mld outside ({lo}, 2)"
-    return True, "ok"

@@ -218,7 +218,7 @@ def test_criterion_9c_fivefold_lift_roundtrip(rng):
         if rep.case_tag != "case2":
             failures += 1
             continue
-        X = verifiers.lift_to_fivefold(t, eps)  # asserts mld == 1 + k1/r
+        X = verifiers.lift_to_fivefold(t, eps, rep)  # asserts mld == 1 + k1/r
         k1 = min(kk for kk in rep.gamma if t.e * kk % t.r != 0)
         if mld(X) != 1 + Fraction(k1, t.r):
             failures += 1

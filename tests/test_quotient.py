@@ -7,8 +7,8 @@ import pytest
 from conftest import ld_oracle, mld_oracle, traced_peak
 from mldlab import quotient
 from mldlab.quotient import (CyclicQuotient, index_gcd, is_isolated, ld_numerators,
-                             mld, mld_argmin, mld_argmin_batch, toroidal_ld,
-                             toroidal_weight)
+                             mld, mld_argmin, mld_argmin_batch, residues,
+                             toroidal_ld, toroidal_weight)
 
 
 def argmin_oracle(r, weights):
@@ -207,6 +207,34 @@ def test_floored_batch_table_covers_the_rows_left_only():
     (numer, _), peak = traced_peak(lambda: mld_argmin_batch(r, W, floor=3 * r))
     assert numer[-1] == 3 * r and (numer[:-1] < 3 * r).all()
     assert peak < 4 * 2**20
+
+
+def test_residues_match_remainder():
+    gen = np.random.default_rng(20261020)
+    big = 2_999_999_929  # the largest prime below the int64 limit on r
+    assert big <= quotient._INT64_R_LIMIT
+    n = 2 * quotient._K_CHUNK + 7  # crosses two block edges
+    for r in (1, 2, 3, 97, 65_537, big):
+        for shape in ((n,), (5, n // 5), (3, 4, n // 12), (1, 1, 1), (0,)):
+            x = gen.integers(-r * r, r * r, size=shape, endpoint=True)
+            x.reshape(-1)[:1] = -1  # the table's v = 0 row is -1
+            want = x % r
+            assert residues(x, r) is x and np.array_equal(x, want)
+    # views that reshape(-1) would copy are reduced where they lie, not in a copy
+    for view in (lambda b: b[:, ::2], lambda b: b.T, lambda b: b[::-1, 1:]):
+        base = gen.integers(-10**6, 10**6, size=(300, 400))
+        want = base.copy()
+        view(want)[...] %= 97
+        v = view(base)
+        assert residues(v, 97) is v and np.array_equal(base, want)
+
+
+def test_residues_hold_one_block():
+    x = np.arange(8 * quotient._K_CHUNK, dtype=np.int64) * 12_345 - 7
+    want = x % 1009
+    got, peak = traced_peak(lambda: residues(x, 1009))
+    assert got is x and np.array_equal(x, want)
+    assert peak < 1.25 * quotient._K_CHUNK * x.itemsize  # x % 1009 holds eight blocks
 
 
 def test_ld_numerators_int64_limit():

@@ -18,8 +18,7 @@ from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
                               terminal_conclusion, terminal_hypothesis,
-                              thm35_hypotheses, transfer_classify,
-                              transfer_family_instance)
+                              transfer_classify, transfer_family_instance)
 
 
 def fracsum(r, values, j):
@@ -551,23 +550,6 @@ def test_fivefold_scan_4b_congruence():
         a = c.X.weights
         assert (2 * a[3] + a[4]) % c.X.r == 0
         assert math.gcd(a[3], c.X.r) == math.gcd(a[4], c.X.r)
-
-
-def test_thm35_failure_details():
-    ok, detail = thm35_hypotheses(CyclicQuotient(211, (50, 60, 80, 150, 210)), 100)
-    assert not ok and detail == "v4 window"
-    ok, detail = thm35_hypotheses(CyclicQuotient(211, (50, 60, 80, 1, 150)), 100)
-    assert not ok and detail == "v5 window"
-    ok, detail = thm35_hypotheses(CyclicQuotient(210, (50, 60, 80, 1, 209)), 100)
-    assert not ok and "positive integer" in detail
-    ok, detail = thm35_hypotheses(CyclicQuotient(211, (10, 20, 30, 1, 210)), 100)
-    assert not ok  # coordinate sum far below the window
-    ok, detail = thm35_hypotheses(CyclicQuotient(211, (50, 60, 80, 1, 210)), 99)
-    assert not ok and "mu < 100" in detail
-    with pytest.raises(ValueError):
-        thm35_hypotheses(CyclicQuotient(211, (1, 2, 3)), 100)
-    with pytest.raises(ValueError):
-        thm35_hypotheses(CyclicQuotient(211, (1, 2, 3, 4, 5)), 1)
 
 
 def test_thm35_no_instance_at_desk_scale():
