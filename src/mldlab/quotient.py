@@ -190,19 +190,20 @@ def mld_argmin_batch(r: int, weights_matrix, floor=0) -> tuple[np.ndarray, np.nd
     d, n = C.shape
     if r == 1:
         return np.full(n, d, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    values, rows = _distinct(C)  # one sort per batch: the rows left only shrink
+    values, rows = _distinct(C)  # one sort per batch; every row is live in the first step
     best = np.full(n, d * r, dtype=np.int64)  # ld(k) <= d for every k
     argk = np.full(n, 1, dtype=np.int64)
     k, live = 1, np.arange(n)
     while k < r and live.size:
         ks = np.arange(k, min(k + max(1, _K_CHUNK // live.size), r), dtype=np.int64)
-        R, used = rows[:, live], np.zeros(values.size, dtype=bool)
-        used[R] = True  # remap to the rows left: keeps the table small once few are left
-        s = _ld_table_sum(r, values[used], (used.cumsum() - 1)[R], ks)
+        s = _ld_table_sum(r, values, rows, ks)
         i = s.argmin(axis=1)  # the first minimum of each row in the chunk
         s = s[np.arange(live.size), i]
         better = s < best[live]  # strict: earlier chunks keep their ties
         best[live[better]], argk[live[better]] = s[better], ks[i[better]]
         k += ks.size
-        live = (best >= floor).nonzero()[0]
+        stay = (best >= floor)[live]
+        live, rows, used = live[stay], rows[:, stay], np.zeros(values.size, dtype=bool)
+        used[rows] = True  # remap to the rows left: keeps the table small once few are left
+        values, rows = values[used], (used.cumsum() - 1)[rows]
     return best, argk

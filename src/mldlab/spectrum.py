@@ -11,8 +11,17 @@ minimizing coordinate by a suitable unit), and whose remaining coordinates
 have gcd at least g.  So representatives are generated per divisor g of r and
 deduplicated afterwards through the canonical form.  Isolated scans (all
 gcds 1) only need the g = 1 slab with unit entries.  Each slab's free
-coordinates are the non-decreasing (dim - 1)-tuples over its residues, built
-in numpy by `qarith.sorted_tuples`, one code path for every dimension.
+coordinates are the non-decreasing (dim - 1)-tuples over its residues.  All
+slabs of a level come out of one `qarith.sorted_tuples` pass, each slab's
+residues one segment of a single value array and g its rows' head, in slab
+order and lexicographic within a slab, one code path for every dimension.
+
+That pass also drops every row whose r * ld(1), the entry sum with 0 read as
+r, lies below the window's integer floor `first`: for r >= 2 the mld is at
+most ld(1) (at r = 1 it is the entry sum), so such a row could not pass the
+floor anyway, and every class in the window keeps all of its rows.  The cut is
+on the last column, from first minus the earlier entries; a last entry 0 stays
+whenever r reaches that.  With first = 0 (lo = 0) nothing is cut.
 
 The rows whose mld lands in the interval are canonicalized together in numpy
 (`_canonical_rows`); `canonical_weights` is the scalar definition it is
@@ -110,19 +119,15 @@ def family_example(k: int, m: int) -> tuple[CyclicQuotient, Fraction]:
     return X, expected
 
 
-def _representatives(r: int, dim: int, isolated_only: bool) -> np.ndarray:
-    """Weight tuples meeting every class at least once (with redundancy)."""
+def _representatives(r: int, dim: int, isolated_only: bool, first: int = 0) -> np.ndarray:
+    """Weight tuples meeting every class at least once (with redundancy),
+    slab by slab, less the rows whose r * ld(1) lies below ``first``: mld <=
+    ld(1), so none of those has its mld at or above first / r."""
     gcds = gcd_table(r)
-    if isolated_only:
-        slabs = [(1, gcds == 1)]
-    else:
-        slabs = [(g, gcds >= g) for g in range(1, r + 1) if r % g == 0]
-    blocks = []
-    for g, mask in slabs:
-        free = sorted_tuples(np.flatnonzero(mask), dim - 1)
-        pinned = np.full((free.shape[0], 1), g % r, dtype=np.int64)
-        blocks.append(np.hstack([pinned, free]))
-    return np.vstack(blocks)
+    heads = np.array([1]) if isolated_only else np.flatnonzero(r % np.arange(1, r + 1) == 0) + 1
+    member = (gcds == 1)[None] if isolated_only else gcds >= heads[:, None]  # row s: slab heads[s]
+    return sorted_tuples(member.nonzero()[1], dim - 1, member.sum(axis=1).cumsum(),
+                         heads % r, first, zero=r)
 
 
 def _canonical_rows(r: int, W: np.ndarray) -> np.ndarray:
@@ -149,9 +154,9 @@ def _canonical_rows(r: int, W: np.ndarray) -> np.ndarray:
 
 
 def _scan_r(r: int, cfg: ScanConfig) -> list[SpectrumRecord]:
-    reps = _representatives(r, cfg.dim, cfg.isolated_only)
     first, stop = window_bounds(r, cfg.dim * r, cfg.lo, cfg.hi,
                                 cfg.include_lo, cfg.include_hi)
+    reps = _representatives(r, cfg.dim, cfg.isolated_only, first)
     numer, _ = mld_argmin_batch(r, reps, first)
     keep = (numer >= first) & (numer < stop)
     # sorted distinct classes; each expects the minimum of its first kept row

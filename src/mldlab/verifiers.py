@@ -181,6 +181,13 @@ class TransferReport:
     q: int | None = None        # r / p, when case1
 
 
+def _index_window_first(r: int, eps: Fraction) -> int:
+    """The least k with k/r >= 5/6 + eps, for eps = p/q in (0, 1/6): the
+    integer ceil of r(5q + 6p) / 6q, which lies in (5r/6, r]."""
+    p, q = eps.numerator, eps.denominator
+    return -(-r * (5 * q + 6 * p) // (6 * q))
+
+
 def transfer_classify(t: TermTuple, eps) -> TransferReport:
     """Compute Gamma = {k : sum_i {a_i*k/r} = {e*k/r} + k/r} and validate the hypotheses.
 
@@ -209,7 +216,7 @@ def transfer_classify(t: TermTuple, eps) -> TransferReport:
         return report("no pair congruence holds")
 
     quotient._check_int64_safe(r)
-    first, _ = window_bounds(r, r, Fraction(5, 6) + eps)
+    first = _index_window_first(r, eps)
     gamma = []
     for start in range(1, r, quotient._K_CHUNK):
         ks = np.arange(start, min(start + quotient._K_CHUNK, r), dtype=np.int64)

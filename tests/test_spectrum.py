@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import mld_oracle
 from mldlab import quotient, spectrum
-from mldlab.qarith import units
+from mldlab.qarith import units, window_bounds
 from mldlab.quotient import CyclicQuotient, mld, toroidal_ld
 from mldlab.spectrum import (ScanConfig, accumulation_report, canonical_weights,
                              distinct_values, family_example, format_rat,
@@ -75,6 +76,49 @@ def test_scan_at_small_chunks(monkeypatch, chunk):
     want = [list(scan(cfg)) for cfg in cfgs]
     monkeypatch.setattr(quotient, "_K_CHUNK", chunk)
     assert [list(scan(cfg)) for cfg in cfgs] == want
+
+
+def _slab_rows(r, dim, isolated_only):
+    # the representatives before the cut, from itertools: per divisor g of r
+    # (g = 1 alone when isolated), g % r and then the sorted (dim - 1)-tuples
+    # over the residues of gcd at least g (exactly 1 when isolated)
+    slabs = [1] if isolated_only else [g for g in range(1, r + 1) if r % g == 0]
+    free = {g: [x for x in range(r) if (math.gcd(x, r) == 1 if isolated_only
+                                        else math.gcd(x, r) >= g)] for g in slabs}
+    return [(g % r,) + t for g in slabs
+            for t in itertools.combinations_with_replacement(free[g], dim - 1)]
+
+
+@pytest.mark.parametrize("dim, r_max", [(1, 40), (2, 40), (3, 40), (4, 14), (5, 8)])
+def test_representatives_cut_is_the_filtered_rows(dim, r_max):
+    # the enumeration-time cut drops exactly the rows whose r * ld(1), with
+    # 0 read as r, lies below first; lo above 1 reaches rows whose last
+    # entry is 0 while smaller nonzero entries go
+    los = [Fraction(0), Fraction(5, 6), Fraction(1), Fraction(4, 3), Fraction(dim - 1),
+           Fraction(dim - 1) + Fraction(1, 3), Fraction(dim) - Fraction(1, 7), Fraction(dim)]
+    for r in range(1, r_max + 1):
+        for isolated_only in (False, True):
+            rows = _slab_rows(r, dim, isolated_only)
+            ld1 = [sum(x or r for x in row) for row in rows]
+            for lo in los:
+                first, _ = window_bounds(r, dim * r, lo)
+                got = spectrum._representatives(r, dim, isolated_only, first)
+                assert got.shape[1:] == (dim,)
+                assert [tuple(row) for row in got.tolist()] == [
+                    row for row, n in zip(rows, ld1) if n >= first], (r, isolated_only, lo)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScanConfig(dim=2, r_max=40, lo=Fraction(4, 3), hi=Fraction(2)),
+    ScanConfig(dim=4, r_max=14, lo=Fraction(11, 6), hi=Fraction(2), include_lo=False),
+], ids=["dim2", "dim4"])
+def test_cut_scan_equals_uncut_scan_at_jobs_1_and_2(monkeypatch, cfg):
+    want = list(scan(cfg))
+    assert want and list(scan(replace(cfg, jobs=2))) == want
+    full = spectrum._representatives
+    monkeypatch.setattr(spectrum, "_representatives",
+                        lambda r, dim, isolated_only, first: full(r, dim, isolated_only))
+    assert list(scan(cfg)) == want  # jobs 1 only: forked workers may predate the patch
 
 
 def test_scan_small_isolated_window():

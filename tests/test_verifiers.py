@@ -13,7 +13,7 @@ import pytest
 
 from conftest import fracsum_identity_oracle, ld_oracle, mld_oracle, traced_peak, transfer_oracle
 from mldlab import quotient, spectrum, verifiers
-from mldlab.qarith import VerificationError, sorted_tuples, units
+from mldlab.qarith import VerificationError, sorted_tuples, units, window_bounds
 from mldlab.quotient import CyclicQuotient, index_gcd, mld, toroidal_ld
 from mldlab.verifiers import (TermTuple, fivefold_scan, fourfold_gap_scan,
                               lift_to_fivefold, terminal_bruteforce,
@@ -391,6 +391,18 @@ def test_transfer_classify_matches_oracle(rng, monkeypatch, chunk):
     assert reached >= {"case1", "case2", "Gamma is empty",
                        "Gamma member k below the index window",
                        "dichotomy fails at k"}
+
+
+def test_index_window_first_matches_window_bounds():
+    # the one integer ceil against the Fraction thresholds, with r up to the
+    # int64 limit and windows that land exactly on an index
+    big = quotient._INT64_R_LIMIT
+    epss = {Fraction(p, q) for q in range(7, 31) for p in range(1, q) if 6 * p < q}
+    epss |= {Fraction(1, 10**12), Fraction(1, 6) - Fraction(1, 10**12), Fraction(1, 12)}
+    for r in [*range(2, 61), 97, 5_699, 10**9 + 7, big - 6, big - 1, big]:
+        for eps in epss:
+            want, _ = window_bounds(r, r, Fraction(5, 6) + eps)
+            assert verifiers._index_window_first(r, eps) == want, (r, eps)
 
 
 def test_lift_to_fivefold_family(rng):
