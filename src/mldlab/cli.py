@@ -255,7 +255,7 @@ def _cmd_verify_fivefold(args) -> tuple[dict, dict, int]:
     cands = verifiers.fivefold_scan(args.rmax, _parse_rat(args.eps), args.cond,
                                     jobs=args.jobs)
     payload = {"rmax": args.rmax, "eps": args.eps, "condition": args.cond,
-               "candidates": [{"r": c.X.r, "weights": list(c.X.weights),
+               "candidates": [{"r": c.r, "weights": list(c.weights),
                                "mld": format_rat(c.mld)} for c in cands],
                "count": len(cands)}
     return {"rmax": args.rmax, "eps": args.eps, "cond": args.cond}, payload, 0

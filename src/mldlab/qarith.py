@@ -81,7 +81,7 @@ def ragged_ranges(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return owner, value
 
 
-def sorted_tuples(values, count: int, ends=None, heads=None, floor=None, zero: int = 0):
+def sorted_tuples(values, count: int, ends=None, heads=None, floor=None):
     """The non-decreasing ``count``-tuples over each ascending segment of
     ``values`` as an (N, count) int64 array, the segments in order and each
     one's tuples in lexicographic order; a segment gives one empty row when
@@ -90,11 +90,8 @@ def sorted_tuples(values, count: int, ends=None, heads=None, floor=None, zero: i
 
     Segment s is values[ends[s - 1]:ends[s]] (ends=None: all of values).
     With an integer ``floor`` over non-negative values, only the rows whose
-    entries, head included and 0 read as ``zero``, sum to at least floor
-    are built.
-    The cut is on the last column: it starts at the first value reaching
-    what the earlier entries leave, and a segment's leading 0 (it sorts
-    first but counts as ``zero``) stays when ``zero`` reaches that.
+    plain entry sum, head included, reaches floor are built: the last column
+    starts at the first value reaching what the earlier entries leave.
 
     Built column by column on index arrays: a row whose last index is i is
     extended by every index in [i, end of its segment) (`ragged_ranges`), so
@@ -106,26 +103,18 @@ def sorted_tuples(values, count: int, ends=None, heads=None, floor=None, zero: i
     idx = np.zeros((ends.size, 0), dtype=np.int64)
     heads = None if heads is None else np.asarray(heads, dtype=np.int64)
     if floor is not None:
-        keys = np.where(vals == 0, zero, vals)
-        rest = np.full(ends.size, floor, dtype=np.int64)  # what the tuple after the head must reach
-        if heads is not None:
-            rest -= np.where(heads == 0, zero, heads)
+        # what the tuple after the head must reach
+        rest = floor - (np.zeros_like(ends) if heads is None else heads)
         span = int(vals.max(initial=0)) + 1  # lift segment s by s * span: one ascending array
         lifted = vals + np.repeat(seg * span, ends - last)
         if count == 0:
             seg, idx = seg[rest <= 0], idx[rest <= 0]
     for c in range(count):
-        lo, hi = last, ends[seg]
-        cut = floor is not None and c == count - 1
-        if cut:
-            need = rest[seg] - keys[idx].sum(axis=1)
-            lo = np.maximum(last, lifted.searchsorted(seg * span + np.minimum(need, span)))
-            zero_ok = (need > 0) & (need <= zero) & (last < hi)
-            zero_ok[zero_ok] = vals[last[zero_ok]] == 0
-            lo -= zero_ok  # a row keeping the leading 0 starts one index early ...
-        parent, child = ragged_ranges(lo, hi)
-        if cut:  # ... and its first child becomes that 0
-            child[parent.searchsorted(zero_ok.nonzero()[0])] = last[zero_ok]
+        lo = last
+        if floor is not None and c == count - 1:
+            need = np.minimum(rest[seg] - vals[idx].sum(axis=1), span)
+            lo = np.maximum(last, lifted.searchsorted(seg * span + need))
+        parent, child = ragged_ranges(lo, ends[seg])
         seg, idx, last = seg[parent], np.column_stack([idx[parent], child]), child
     return vals[idx] if heads is None else np.column_stack([heads[seg], vals[idx]])
 

@@ -11,17 +11,18 @@ minimizing coordinate by a suitable unit), and whose remaining coordinates
 have gcd at least g.  So representatives are generated per divisor g of r and
 deduplicated afterwards through the canonical form.  Isolated scans (all
 gcds 1) only need the g = 1 slab with unit entries.  Each slab's free
-coordinates are the non-decreasing (dim - 1)-tuples over its residues.  All
-slabs of a level come out of one `qarith.sorted_tuples` pass, each slab's
-residues one segment of a single value array and g its rows' head, in slab
-order and lexicographic within a slab, one code path for every dimension.
+coordinates are the non-decreasing (dim - 1)-tuples over its residues, held
+in [1, r] with r standing for residue 0 (the kernel and the canonical form
+read entries mod r).  All slabs of a level come out of one
+`qarith.sorted_tuples` pass, each slab's residues one segment of a single
+value array and g its rows' head, in slab order and lexicographic within a
+slab, one code path for every dimension.
 
-That pass also drops every row whose r * ld(1), the entry sum with 0 read as
-r, lies below the window's integer floor `first`: for r >= 2 the mld is at
-most ld(1) (at r = 1 it is the entry sum), so such a row could not pass the
-floor anyway, and every class in the window keeps all of its rows.  The cut is
-on the last column, from first minus the earlier entries; a last entry 0 stays
-whenever r reaches that.  With first = 0 (lo = 0) nothing is cut.
+That pass also drops every row whose entry sum, r * ld(1), lies below the
+window's integer floor `first`, a plain row-sum bound on the last column: for
+r >= 2 the mld is at most ld(1) (at r = 1 it is d, the sum of the row of 1s),
+so such a row could not pass the floor anyway, and every class in the window
+keeps all of its rows.  With first = 0 (lo = 0) nothing is cut.
 
 The rows whose mld lands in the interval are canonicalized together in numpy
 (`_canonical_rows`); `canonical_weights` is the scalar definition it is
@@ -41,8 +42,7 @@ import numpy as np
 
 from . import quotient
 from .pool import parallel_map
-from .qarith import (VerificationError, format_rat, gcd_table, sorted_tuples, units,
-                     window_bounds)
+from .qarith import VerificationError, format_rat, sorted_tuples, units, window_bounds
 from .quotient import CyclicQuotient, mld, mld_argmin_batch, residues
 
 
@@ -119,15 +119,16 @@ def family_example(k: int, m: int) -> tuple[CyclicQuotient, Fraction]:
     return X, expected
 
 
-def _representatives(r: int, dim: int, isolated_only: bool, first: int = 0) -> np.ndarray:
+def _representatives(r: int, dim: int, isolated_only: bool, first: int) -> np.ndarray:
     """Weight tuples meeting every class at least once (with redundancy),
-    slab by slab, less the rows whose r * ld(1) lies below ``first``: mld <=
-    ld(1), so none of those has its mld at or above first / r."""
-    gcds = gcd_table(r)
-    heads = np.array([1]) if isolated_only else np.flatnonzero(r % np.arange(1, r + 1) == 0) + 1
+    slab by slab, less the rows whose entry sum r * ld(1) lies below
+    ``first``: mld <= ld(1), so none of those has its mld at or above first / r."""
+    keys = np.arange(1, r + 1)  # key r stands for residue 0
+    gcds = np.gcd(keys, r)
+    heads = np.array([1]) if isolated_only else keys[r % keys == 0]
     member = (gcds == 1)[None] if isolated_only else gcds >= heads[:, None]  # row s: slab heads[s]
-    return sorted_tuples(member.nonzero()[1], dim - 1, member.sum(axis=1).cumsum(),
-                         heads % r, first, zero=r)
+    return sorted_tuples(member.nonzero()[1] + 1, dim - 1, member.sum(axis=1).cumsum(),
+                         heads, first)
 
 
 def _canonical_rows(r: int, W: np.ndarray) -> np.ndarray:

@@ -310,8 +310,19 @@ _CONDITIONS = ("4a", "4b", "4c")
 
 @dataclass(frozen=True)
 class FivefoldCandidate:
-    X: CyclicQuotient
-    mld: Fraction
+    """A fivefold quotient 1/r(weights), weights in [0, r), with mld numer/r."""
+
+    r: int
+    weights: tuple[int, ...]
+    numer: int
+
+    @property
+    def X(self) -> CyclicQuotient:
+        return CyclicQuotient(self.r, self.weights)
+
+    @property
+    def mld(self) -> Fraction:
+        return Fraction(self.numer, self.r)
 
 
 def _fivefold_scan_r(r: int, eps, condition: str) -> tuple[np.ndarray, np.ndarray]:
@@ -353,22 +364,15 @@ def _unit_orbits(r: int, W: np.ndarray, numer: np.ndarray, mults) -> tuple[np.nd
     return E, numer
 
 
-def _candidates(r: int, E: np.ndarray, numer: np.ndarray) -> list[FivefoldCandidate]:
-    """The FivefoldCandidates of one level's `_unit_orbits` arrays, sharing
-    one Fraction per distinct numerator."""
-    mlds = {num: Fraction(num, r) for num in np.unique(numer).tolist()}
-    return [FivefoldCandidate(CyclicQuotient(r, tuple(row)), mlds[num])
-            for row, num in zip(E.tolist(), numer.tolist())]
-
-
 def fivefold_scan(r_max: int, eps, condition: str, jobs: int = 1) -> list[FivefoldCandidate]:
     """Enumerate fivefold quotients passing the gcd/congruence hypotheses with
     mld in [11/6 + eps, 2).  The chosen congruence determines a_5, so the
     enumeration runs over (a_1, a_2, a_3, a_4) only; the levels return
-    arrays, and the candidates are built here."""
+    arrays, and the candidates are built here as plain integers."""
     if condition not in _CONDITIONS:
         raise ValueError(f"condition must be one of {_CONDITIONS}")
     eps = window_eps(eps)
     scan_r = partial(_fivefold_scan_r, eps=eps, condition=condition)
-    return [c for r, (E, numer) in _levels(scan_r, r_max, jobs) for c in _candidates(r, E, numer)]
+    return [FivefoldCandidate(r, tuple(row), num) for r, (E, numer) in _levels(scan_r, r_max, jobs)
+            for row, num in zip(E.tolist(), numer.tolist())]
 

@@ -1,3 +1,4 @@
+import ast
 import multiprocessing
 import os
 import time
@@ -133,3 +134,14 @@ def test_no_environment_settings():
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_no_assert_statements():
+    # a check written as assert vanishes under python -O, so the package
+    # states every check as an if that raises
+    paths = sorted(Path(pool.__file__).resolve().parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

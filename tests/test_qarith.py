@@ -227,14 +227,14 @@ def test_sorted_tuples_over_no_values():
         assert sorted_tuples(np.zeros(0, dtype=np.int64), count).shape == (0, count)
 
 
-def _segment_rows(segments, count, heads=None, floor=None, zero=0):
+def _segment_rows(segments, count, heads=None, floor=None):
     """The rows from itertools, segment by segment: each segment's head (when
-    given) and then a sorted tuple over its values, kept when the entries (0
-    read as zero) sum to at least floor."""
+    given) and then a sorted tuple over its values, kept when the entries sum
+    to at least floor."""
     return [lead + t for s, vals in enumerate(segments)
             for lead in [() if heads is None else (heads[s],)]
             for t in itertools.combinations_with_replacement(vals, count)
-            if floor is None or sum(x or zero for x in lead + t) >= floor]
+            if floor is None or sum(lead + t) >= floor]
 
 
 def _random_segments(rng, n):
@@ -264,21 +264,19 @@ def test_segmented_sorted_tuples_match_combinations(rng, count):
 
 @pytest.mark.parametrize("count", range(5))
 def test_floored_sorted_tuples_are_the_filtered_tuples(rng, count):
-    # the cut keeps exactly the rows reaching the floor, in order, with 0
-    # read as `zero` in the head and the tuple: a leading 0 may stay while
-    # values just above it go
+    # the cut keeps exactly the rows whose plain entry sum, head included,
+    # reaches the floor, in order
     for _ in range(300):
         segments = _random_segments(rng, rng.randrange(4))
         values, ends = _flat(segments)
-        zero = rng.choice((0, 12, 15))
         floor = rng.randint(-3, (count + 1) * 15 + 2)
         heads = [rng.randrange(13) for _ in segments]
-        got = sorted_tuples(values, count, ends, heads, floor, zero)
-        assert list(map(tuple, got.tolist())) == _segment_rows(segments, count, heads, floor, zero)
-        got = sorted_tuples(values, count, ends, floor=floor, zero=zero)
-        assert list(map(tuple, got.tolist())) == _segment_rows(segments, count, None, floor, zero)
-    got = sorted_tuples([0, 1, 2, 3], 2, floor=7, zero=4)  # after 0: 0 stays, 1 and 2 go
-    assert got.tolist() == [[0, 0], [0, 3]]
+        got = sorted_tuples(values, count, ends, heads, floor)
+        assert list(map(tuple, got.tolist())) == _segment_rows(segments, count, heads, floor)
+        got = sorted_tuples(values, count, ends, floor=floor)
+        assert list(map(tuple, got.tolist())) == _segment_rows(segments, count, None, floor)
+    got = sorted_tuples([0, 1, 2, 3], 2, floor=4)  # after 0 and 1, the last column starts at 3
+    assert got.tolist() == [[1, 3], [2, 2], [2, 3], [3, 3]]
 
 
 _SUPPORT = MonomialSupport.of((1, 1, 0, 0))

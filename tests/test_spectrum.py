@@ -80,32 +80,32 @@ def test_scan_at_small_chunks(monkeypatch, chunk):
 
 def _slab_rows(r, dim, isolated_only):
     # the representatives before the cut, from itertools: per divisor g of r
-    # (g = 1 alone when isolated), g % r and then the sorted (dim - 1)-tuples
-    # over the residues of gcd at least g (exactly 1 when isolated)
+    # (g = 1 alone when isolated), g and then the sorted (dim - 1)-tuples over
+    # the keys in [1, r] (r standing for residue 0) of gcd at least g
+    # (exactly 1 when isolated)
     slabs = [1] if isolated_only else [g for g in range(1, r + 1) if r % g == 0]
-    free = {g: [x for x in range(r) if (math.gcd(x, r) == 1 if isolated_only
-                                        else math.gcd(x, r) >= g)] for g in slabs}
-    return [(g % r,) + t for g in slabs
+    free = {g: [x for x in range(1, r + 1) if (math.gcd(x, r) == 1 if isolated_only
+                                               else math.gcd(x, r) >= g)] for g in slabs}
+    return [(g,) + t for g in slabs
             for t in itertools.combinations_with_replacement(free[g], dim - 1)]
 
 
 @pytest.mark.parametrize("dim, r_max", [(1, 40), (2, 40), (3, 40), (4, 14), (5, 8)])
 def test_representatives_cut_is_the_filtered_rows(dim, r_max):
-    # the enumeration-time cut drops exactly the rows whose r * ld(1), with
-    # 0 read as r, lies below first; lo above 1 reaches rows whose last
-    # entry is 0 while smaller nonzero entries go
+    # the enumeration-time cut drops exactly the rows whose r * ld(1), their
+    # plain entry sum, lies below first, and every entry lies in [1, r]
     los = [Fraction(0), Fraction(5, 6), Fraction(1), Fraction(4, 3), Fraction(dim - 1),
            Fraction(dim - 1) + Fraction(1, 3), Fraction(dim) - Fraction(1, 7), Fraction(dim)]
     for r in range(1, r_max + 1):
         for isolated_only in (False, True):
             rows = _slab_rows(r, dim, isolated_only)
-            ld1 = [sum(x or r for x in row) for row in rows]
             for lo in los:
                 first, _ = window_bounds(r, dim * r, lo)
                 got = spectrum._representatives(r, dim, isolated_only, first)
                 assert got.shape[1:] == (dim,)
+                assert got.size == 0 or (got.min() >= 1 and got.max() <= r)
                 assert [tuple(row) for row in got.tolist()] == [
-                    row for row, n in zip(rows, ld1) if n >= first], (r, isolated_only, lo)
+                    row for row in rows if sum(row) >= first], (r, isolated_only, lo)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -117,7 +117,7 @@ def test_cut_scan_equals_uncut_scan_at_jobs_1_and_2(monkeypatch, cfg):
     assert want and list(scan(replace(cfg, jobs=2))) == want
     full = spectrum._representatives
     monkeypatch.setattr(spectrum, "_representatives",
-                        lambda r, dim, isolated_only, first: full(r, dim, isolated_only))
+                        lambda r, dim, isolated_only, first: full(r, dim, isolated_only, first=0))
     assert list(scan(cfg)) == want  # jobs 1 only: forked workers may predate the patch
 
 

@@ -522,13 +522,13 @@ def test_batch_recheck_catches_a_wrong_floor(monkeypatch, module, run):
 
 
 def test_lift_check_survives_optimize():
-    # the mld re-check in lift_to_fivefold, the batch re-check of the
-    # fivefold scan and the batch re-check of the terminal scan must not
-    # vanish under python -O
+    # the mld re-check in lift_to_fivefold, the batch re-checks of the
+    # fivefold scan and of the scan's classes, and the batch re-check of the
+    # terminal scan must not vanish under python -O
     script = "\n".join([
         "import numpy as np",
         "from fractions import Fraction",
-        "from mldlab import verifiers",
+        "from mldlab import spectrum, verifiers",
         "from mldlab.qarith import VerificationError",
         "t, eps = verifiers.transfer_family_instance(2)",
         "verifiers.mld = lambda X: Fraction(0)",
@@ -540,6 +540,12 @@ def test_lift_check_survives_optimize():
         "verifiers.mld_argmin_batch = _wrong_floor(verifiers.mld_argmin_batch)",
         "try:",
         "    verifiers._fivefold_scan_r(13, Fraction(1, 100), '4a')",
+        "except VerificationError:",
+        "    print('caught')",
+        "spectrum.mld_argmin_batch = _wrong_floor(spectrum.mld_argmin_batch)",
+        "try:",
+        "    spectrum._scan_r(13, spectrum.ScanConfig(dim=3, r_max=13, lo=Fraction(5, 6),",
+        "                                             hi=Fraction(1)))",
         "except VerificationError:",
         "    print('caught')",
         "verifiers._hypothesis_rows = lambda r, cols: np.zeros(len(cols), dtype=bool)",
@@ -554,7 +560,7 @@ def test_lift_check_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["caught"] * 3
+    assert proc.stdout.split() == ["caught"] * 4
 
 
 def test_fivefold_scan_4b_congruence():
